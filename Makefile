@@ -122,6 +122,7 @@ profile:
 # parser. Run before cutting a release; CI-friendly wall time.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadBundle -fuzztime 10s ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz FuzzBundlePayload -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzShardManifest -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzRegistryManifest -fuzztime 10s ./internal/storage

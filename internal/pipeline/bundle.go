@@ -5,33 +5,44 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
 	"repro/internal/lexicon"
 	"repro/internal/recipe"
+	"repro/internal/stats"
 )
 
-// Bundle is the persistent form of a fitted pipeline: everything the
-// annotation and linkage layers need, without the raw corpus. Bundles
-// let services start from a file instead of refitting at boot.
-type bundle struct {
+// Bundle payload schemas, carried in the container header's "schema"
+// field. A bundle is the persistent form of a fitted pipeline:
+// everything the annotation and linkage layers need, without the raw
+// corpus. Bundles let services start from a file instead of refitting
+// at boot.
+const (
+	// bundleSchemaJSON is the gzip-compressed JSON document (bundleJSON)
+	// older builds wrote. It is no longer written, but registries hold
+	// schema-1 generations that followers must keep loading.
+	bundleSchemaJSON = 1
+	// bundleSchemaBinary is the gzip-compressed binary columnar payload
+	// (bundlebin.go) SaveBundle writes.
+	bundleSchemaBinary = 2
+)
+
+// bundleJSON is the schema-1 document.
+type bundleJSON struct {
 	Version       int                 `json:"version"`
 	Docs          []recipe.Doc        `json:"docs"`
 	ExcludedTerms map[string][]string `json:"excluded_terms"`
 	Model         json.RawMessage     `json:"model"`
 }
 
-// bundleSchemaVersion guards the inner document layout. The container
-// format (see container.go) versions the envelope; this versions the
-// fields inside it.
-const bundleSchemaVersion = 1
-
 // SaveBundle writes the fitted state (model, docs, term exclusions) in
-// the format-2 durable container: gzipped JSON wrapped in a
-// length-prefixed, SHA-256-digested envelope. Use SaveBundleFile for
-// the crash-safe on-disk variant.
+// the format-2 durable container: a gzip-compressed schema-2 binary
+// payload wrapped in a length-prefixed, SHA-256-digested envelope. Use
+// SaveBundleFile for the crash-safe on-disk variant. A non-finite
+// float anywhere in the state is an error.
 func (o *Output) SaveBundle(w io.Writer) error {
 	if o.Model == nil {
 		return fmt.Errorf("pipeline: cannot save an unfitted output")
@@ -40,14 +51,15 @@ func (o *Output) SaveBundle(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return writeContainer(w, kindBundle, bundleSchemaVersion, payload, nil)
+	return writeContainer(w, kindBundle, bundleSchemaBinary, payload, nil)
 }
 
 // EncodeBundle renders the fitted state as container bytes plus the
 // hex SHA-256 payload digest the container carries — the content
 // address a registry stores the bundle under. The digest is re-derived
 // from the encoded bytes (not trusted from the writer), so the pair is
-// self-consistent by construction.
+// self-consistent by construction. Encoding is deterministic: the same
+// fitted state always yields the same bytes and digest.
 func (o *Output) EncodeBundle() ([]byte, string, error) {
 	var buf bytes.Buffer
 	if err := o.SaveBundle(&buf); err != nil {
@@ -60,23 +72,15 @@ func (o *Output) EncodeBundle() ([]byte, string, error) {
 	return buf.Bytes(), digest, nil
 }
 
-// bundlePayload renders the gzip-compressed JSON bundle body.
+// bundlePayload streams the schema-2 payload through gzip.
 func (o *Output) bundlePayload() ([]byte, error) {
-	var modelBuf bytes.Buffer
-	if err := o.Model.WriteJSON(&modelBuf); err != nil {
-		return nil, err
-	}
-	b := bundle{
-		Version:       bundleSchemaVersion,
-		Docs:          o.Docs,
-		ExcludedTerms: o.ExcludedTerms,
-		Model:         json.RawMessage(modelBuf.Bytes()),
-	}
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
-	enc := json.NewEncoder(gz)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(b); err != nil {
+	bw := bufio.NewWriterSize(gz, 32<<10)
+	if err := writeBundlePayload(bw, o.Docs, o.ExcludedTerms, o.Model); err != nil {
+		return nil, err
+	}
+	if err := bw.Flush(); err != nil {
 		return nil, fmt.Errorf("pipeline: encoding bundle: %w", err)
 	}
 	if err := gz.Close(); err != nil {
@@ -85,125 +89,114 @@ func (o *Output) bundlePayload() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// LoadBundle reads a bundle written by SaveBundle — the format-2
-// container — or by the pre-container releases (format 1: a naked
-// gzip+JSON stream, detected by its gzip magic). Truncated, bit-flipped
-// and trailing-garbage inputs are rejected with an error wrapping
-// ErrCorrupt; future container or schema versions with ErrVersion; a
-// checkpoint file passed by mistake with ErrKind. The returned Output
-// carries the model, docs, exclusions and dictionary; the raw recipe
-// corpus is not part of a bundle (AllRecipes and Kept are nil).
+// LoadBundle reads a bundle written by SaveBundle: a format-2
+// container holding a schema-2 binary payload, or a schema-1 JSON one
+// from an older build. Truncated, bit-flipped and trailing-garbage
+// inputs, and anything that is not a container, are rejected with an
+// error wrapping ErrCorrupt; future container or schema versions with
+// ErrVersion; a checkpoint file passed by mistake with ErrKind. The
+// returned Output carries the model, docs, exclusions and dictionary;
+// the raw recipe corpus is not part of a bundle (AllRecipes and Kept
+// are nil).
 func LoadBundle(r io.Reader) (*Output, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(containerMagic))
-	switch {
-	case err == nil && string(magic) == containerMagic:
-		if _, err := br.Discard(len(containerMagic)); err != nil {
-			return nil, fmt.Errorf("pipeline: reading bundle: %w", err)
-		}
-		payload, hdr, err := readContainer(br, kindBundle)
-		if err != nil {
-			return nil, err
-		}
-		if hdr.Schema > bundleSchemaVersion || hdr.Schema < 1 {
-			return nil, fmt.Errorf("pipeline: bundle schema %d, this build reads ≤ %d: %w",
-				hdr.Schema, bundleSchemaVersion, ErrVersion)
-		}
-		return decodeBundleBody(bytes.NewReader(payload))
-	case len(magic) >= 2 && magic[0] == 0x1f && magic[1] == 0x8b:
-		// Format 1: the legacy naked gzip stream.
-		return decodeBundleBody(br)
-	default:
-		return nil, fmt.Errorf("pipeline: not a bundle (no container or gzip magic): %w", ErrCorrupt)
+	payload, hdr, err := readBundleContainer(r)
+	if err != nil {
+		return nil, err
 	}
+	if hdr.Schema != bundleSchemaJSON && hdr.Schema != bundleSchemaBinary {
+		return nil, fmt.Errorf("pipeline: bundle schema %d, this build reads %d and %d: %w",
+			hdr.Schema, bundleSchemaJSON, bundleSchemaBinary, ErrVersion)
+	}
+	raw, err := gunzipPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	if hdr.Schema == bundleSchemaJSON {
+		return decodeBundleJSON(raw)
+	}
+	return decodeBundlePayload(raw)
 }
 
-// decodeBundleBody decompresses and decodes the bundle document,
-// mapping every failure mode — torn gzip stream, JSON syntax damage,
-// trailing garbage inside or after the document, bad model shape — to
-// a wrapped, inspectable error instead of leaking io.ErrUnexpectedEOF
-// raw.
-func decodeBundleBody(r io.Reader) (*Output, error) {
-	gz, err := gzip.NewReader(r)
+// gunzipPayload decompresses a bundle payload: exactly one gzip
+// member, read to EOF so its CRC-32 and length footer are verified,
+// with nothing after it. Every failure wraps ErrCorrupt.
+func gunzipPayload(payload []byte) ([]byte, error) {
+	src := bytes.NewReader(payload)
+	gz, err := gzip.NewReader(src)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: opening bundle: %w: %w", ErrCorrupt, err)
 	}
-	defer gz.Close()
 	gz.Multistream(false)
-	var b bundle
-	dec := json.NewDecoder(gz)
-	if err := dec.Decode(&b); err != nil {
+	raw, err := io.ReadAll(gz)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: bundle stream damaged: %w: %w", ErrCorrupt, err)
+	}
+	// A *bytes.Reader is an io.ByteReader, so the decompressor reads no
+	// further than the member's footer: any byte left is trailing data.
+	if src.Len() != 0 {
+		return nil, fmt.Errorf("pipeline: %d trailing bytes after bundle stream: %w", src.Len(), ErrCorrupt)
+	}
+	return raw, nil
+}
+
+// decodeBundleJSON decodes a schema-1 document. Syntax damage and
+// trailing garbage are corruption; a document claiming another inner
+// version is a version problem.
+func decodeBundleJSON(raw []byte) (*Output, error) {
+	var b bundleJSON
+	if err := json.Unmarshal(raw, &b); err != nil {
 		return nil, fmt.Errorf("pipeline: decoding bundle: %w: %w", ErrCorrupt, err)
 	}
-	if b.Version > bundleSchemaVersion || b.Version < 1 {
-		return nil, fmt.Errorf("pipeline: bundle schema %d, this build reads ≤ %d: %w",
-			b.Version, bundleSchemaVersion, ErrVersion)
-	}
-	// Drain the decoder's buffer and the rest of the gzip stream: this
-	// catches trailing garbage after the JSON document AND forces the
-	// gzip footer checksum to be verified (a truncated stream fails
-	// here even when the JSON document happened to decode).
-	if err := expectOnlyWhitespace(dec.Buffered()); err != nil {
-		return nil, err
-	}
-	if err := expectOnlyWhitespace(gz); err != nil {
-		return nil, err
-	}
-	// Bytes after the gzip stream itself are garbage too. Both callers
-	// pass an io.ByteReader, which guarantees flate reads no further
-	// than the stream end — so one more readable byte is real trailing
-	// data, not decompressor over-read.
-	if br, ok := r.(io.ByteReader); ok {
-		if _, err := br.ReadByte(); err != io.EOF {
-			return nil, fmt.Errorf("pipeline: trailing garbage after bundle stream: %w", ErrCorrupt)
-		}
+	if b.Version != bundleSchemaJSON {
+		return nil, fmt.Errorf("pipeline: bundle document version %d, schema %d holds version %d: %w",
+			b.Version, bundleSchemaJSON, bundleSchemaJSON, ErrVersion)
 	}
 	model, err := core.ReadResultJSON(bytes.NewReader(b.Model))
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: bundle model: %w: %w", ErrCorrupt, err)
 	}
-	if len(b.Docs) != len(model.Theta) {
+	return finishBundle(b.Docs, b.ExcludedTerms, model)
+}
+
+// finishBundle makes the checks every schema shares and assembles the
+// loaded Output.
+func finishBundle(docs []recipe.Doc, excluded map[string][]string, model *core.Result) (*Output, error) {
+	if len(docs) != len(model.Theta) {
 		return nil, fmt.Errorf("pipeline: bundle has %d docs but model has %d rows: %w",
-			len(b.Docs), len(model.Theta), ErrCorrupt)
+			len(docs), len(model.Theta), ErrCorrupt)
 	}
 	// Prebuild the fold-in kernel: it validates the model shape (a
 	// structurally broken bundle is corruption, not a serving-time
 	// panic) and pays the per-model cache cost at load instead of on
 	// the first annotation request.
-	if _, err := model.BuildKernel(); err != nil {
+	if err := buildBundleKernel(model); err != nil {
 		return nil, fmt.Errorf("pipeline: bundle model: %w: %w", ErrCorrupt, err)
 	}
-	out := &Output{
+	if excluded == nil {
+		excluded = map[string][]string{}
+	}
+	return &Output{
 		Dict:          lexicon.Default(),
-		Docs:          b.Docs,
-		ExcludedTerms: b.ExcludedTerms,
+		Docs:          docs,
+		ExcludedTerms: excluded,
 		Model:         model,
-	}
-	if out.ExcludedTerms == nil {
-		out.ExcludedTerms = map[string][]string{}
-	}
-	return out, nil
+	}, nil
 }
 
-// expectOnlyWhitespace consumes r to EOF, rejecting anything but JSON
-// whitespace. A read error (a gzip checksum failure surfaces here) is
-// corruption too.
-func expectOnlyWhitespace(r io.Reader) error {
-	buf := make([]byte, 512)
-	for {
-		n, err := r.Read(buf)
-		for _, c := range buf[:n] {
-			switch c {
-			case ' ', '\t', '\n', '\r':
-			default:
-				return fmt.Errorf("pipeline: trailing garbage after bundle document: %w", ErrCorrupt)
+// buildBundleKernel builds model's fold-in kernel. A precision matrix
+// no jitter makes positive definite panics inside the build with an
+// error wrapping stats.ErrNumericalHealth; from a file, that is a bad
+// bundle, so the panic comes back as that error.
+func buildBundleKernel(model *core.Result) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(error)
+			if !ok || !errors.Is(e, stats.ErrNumericalHealth) {
+				panic(r)
 			}
+			err = e
 		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("pipeline: bundle stream damaged: %w: %w", ErrCorrupt, err)
-		}
-	}
+	}()
+	_, err = model.BuildKernel()
+	return err
 }

@@ -60,11 +60,11 @@ func TestSaveBundleUnfitted(t *testing.T) {
 }
 
 func TestLoadBundleErrors(t *testing.T) {
-	// Not gzip.
+	// Not a container.
 	if _, err := LoadBundle(strings.NewReader("plain text")); err == nil {
 		t.Error("non-gzip input should fail")
 	}
-	// Gzip but not a bundle.
+	// Naked gzip streams, as pre-container builds wrote, are not bundles.
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
 	gz.Write([]byte("not json"))
@@ -72,7 +72,7 @@ func TestLoadBundleErrors(t *testing.T) {
 	if _, err := LoadBundle(&buf); err == nil {
 		t.Error("non-JSON bundle should fail")
 	}
-	// Wrong version.
+	// Not even with a future document version.
 	buf.Reset()
 	gz = gzip.NewWriter(&buf)
 	gz.Write([]byte(`{"version": 99, "docs": [], "model": {}}`))

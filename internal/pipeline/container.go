@@ -6,18 +6,19 @@
 //	offset 0   magic "RHEODUR1" (8 bytes)
 //	offset 8   header length H, uint32 big-endian
 //	offset 12  header: H bytes of JSON
-//	           {"format":2,"kind":"bundle","schema":1,
+//	           {"format":2,"kind":"bundle","schema":2,
 //	            "payload_len":N,"sha256":"<hex digest>"}
-//	offset 12+H  payload: N bytes (gzip-compressed JSON document)
+//	offset 12+H  payload: N bytes, gzip-compressed
 //	then EOF — trailing bytes are corruption, not slack.
 //
 // The length-prefixed header means a torn write is detected before any
 // payload byte is parsed; the SHA-256 digest catches bit flips that
 // gzip's CRC-32 window can miss; the kind field stops a checkpoint from
 // being loaded as a bundle; and the format version lets a future layout
-// be rejected cleanly instead of misparsed. Format version 1 is the
-// legacy naked gzip+JSON bundle, still readable (detected by the gzip
-// magic bytes) but no longer written.
+// be rejected cleanly instead of misparsed. The schema versions the
+// payload of each kind. A bundle payload is schema 2, binary columns
+// (bundlebin.go); schema 1, a JSON document, is still read but no
+// longer written. Checkpoints and shard files carry JSON.
 package pipeline
 
 import (
@@ -111,19 +112,25 @@ func writeContainer(w io.Writer, kind string, schema int, payload []byte, health
 // extraction must stay cheap enough to run on every registry publish
 // and fetch. Use LoadBundle for full validation.
 func BundleDigest(b []byte) (string, error) {
-	r := bytes.NewReader(b)
-	var magic [len(containerMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return "", fmt.Errorf("pipeline: bundle magic missing: %w: %w", ErrCorrupt, err)
-	}
-	if string(magic[:]) != containerMagic {
-		return "", fmt.Errorf("pipeline: not a bundle container: %w", ErrCorrupt)
-	}
-	_, hdr, err := readContainer(r, kindBundle)
+	_, hdr, err := readBundleContainer(bytes.NewReader(b))
 	if err != nil {
 		return "", err
 	}
 	return hdr.SHA256, nil
+}
+
+// readBundleContainer reads a whole bundle container from r — magic,
+// then the envelope readContainer verifies — and returns its payload
+// and header.
+func readBundleContainer(r io.Reader) ([]byte, containerHeader, error) {
+	var magic [len(containerMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return nil, containerHeader{}, fmt.Errorf("pipeline: bundle magic missing: %w: %w", ErrCorrupt, err)
+	}
+	if string(magic[:]) != containerMagic {
+		return nil, containerHeader{}, fmt.Errorf("pipeline: not a bundle container: %w", ErrCorrupt)
+	}
+	return readContainer(r, kindBundle)
 }
 
 // readContainer parses a format-2 envelope whose magic has already

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -66,27 +67,60 @@ func validBundleV2(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// validBundleV1 returns the same state in the legacy format-1 layout
-// (naked gzip+JSON, no container envelope) exactly as old builds wrote
-// it.
-func validBundleV1(t testing.TB) []byte {
+// jsonBundlePayload renders o as the schema-1 payload older builds
+// wrote: one gzip-compressed JSON document.
+func jsonBundlePayload(t testing.TB, o *Output) []byte {
 	t.Helper()
-	payload, err := tinyOutput().bundlePayload()
-	if err != nil {
+	var modelBuf bytes.Buffer
+	if err := o.Model.WriteJSON(&modelBuf); err != nil {
 		t.Fatal(err)
 	}
-	return payload
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	enc := json.NewEncoder(gz)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(bundleJSON{
+		Version:       bundleSchemaJSON,
+		Docs:          o.Docs,
+		ExcludedTerms: o.ExcludedTerms,
+		Model:         json.RawMessage(modelBuf.Bytes()),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// schema1Bundle wraps o's schema-1 payload in the container, as the
+// registries' older generations hold it.
+func schema1Bundle(t testing.TB, o *Output) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeContainer(&buf, kindBundle, bundleSchemaJSON, jsonBundlePayload(t, o), nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// validBundleV1 returns tinyOutput as the pre-container releases wrote
+// it: a naked gzip+JSON stream with no envelope. The loader no longer
+// reads that format; it must reject it as not a bundle.
+func validBundleV1(t testing.TB) []byte {
+	return jsonBundlePayload(t, tinyOutput())
 }
 
 // TestLoadBundleReadsBothFormats: the current loader accepts its own
-// output and legacy v1 files, recovering identical state from each.
+// schema-2 output and schema-1 containers from older builds,
+// recovering identical state from each.
 func TestLoadBundleReadsBothFormats(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
 		{"v2-container", validBundleV2(t)},
-		{"v1-legacy", validBundleV1(t)},
+		{"schema1-container", schema1Bundle(t, tinyOutput())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := LoadBundle(bytes.NewReader(tc.data))
@@ -170,6 +204,8 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 		{"future-container-format", bytes.Replace(append([]byte(nil), v2...), []byte(`"format":2`), []byte(`"format":9`), 1), ErrVersion},
 		{"future-schema", futureSchema, ErrVersion},
 		{"checkpoint-as-bundle", wrongKind, ErrKind},
+		// Naked gzip streams, whole or damaged, are not bundles.
+		{"v1-naked-gzip", v1, ErrCorrupt},
 		{"v1-torn-gzip", v1[:len(v1)/2], ErrCorrupt},
 		{"v1-bit-flip", flip(v1, len(v1)/2), ErrCorrupt},
 		{"v1-trailing-garbage", concat(v1, []byte("junk after the stream")), ErrCorrupt},
@@ -192,15 +228,20 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestLoadBundleFutureSchemaInV1Body: a legacy-layout stream claiming
-// a future inner schema is a version problem, not corruption.
+// TestLoadBundleFutureSchemaInV1Body: a schema-1 container whose JSON
+// document claims a future inner version is a version problem, not
+// corruption.
 func TestLoadBundleFutureSchemaInV1Body(t *testing.T) {
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
+	var body bytes.Buffer
+	gz := gzip.NewWriter(&body)
 	if _, err := gz.Write([]byte(`{"version":9,"docs":[],"model":{}}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeContainer(&buf, kindBundle, bundleSchemaJSON, body.Bytes(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadBundle(&buf); !errors.Is(err, ErrVersion) {

@@ -2,25 +2,30 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzLoadBundle drives arbitrary bytes through the bundle loader. The
 // invariant under fuzzing: LoadBundle never panics, and every rejection
 // wraps one of the typed sentinels so callers can always classify the
-// failure. Seeds cover both on-disk generations plus the interesting
+// failure. Seeds cover both payload schemas plus the interesting
 // damage shapes so the fuzzer starts at the format boundaries instead
 // of rediscovering them.
 func FuzzLoadBundle(f *testing.F) {
 	v2 := validBundleV2(f)
-	v1 := validBundleV1(f)
+	s1 := schema1Bundle(f, tinyOutput())
 	f.Add(v2)
-	f.Add(v1)
+	f.Add(s1)
 	f.Add(v2[:len(v2)/2])                          // torn container
-	f.Add(v1[:len(v1)/2])                          // torn gzip
+	f.Add(s1[:len(s1)/2])                          // torn schema-1 container
 	f.Add([]byte(containerMagic))                  // magic only
 	f.Add([]byte{0x1f, 0x8b})                      // gzip magic only
 	f.Add(append([]byte(nil), v2...)[:12])         // magic + header length, no header
@@ -38,6 +43,63 @@ func FuzzLoadBundle(f *testing.F) {
 		}
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrKind) {
 			t.Fatalf("untyped load error: %v", err)
+		}
+	})
+}
+
+// FuzzBundlePayload drives arbitrary bytes straight into the schema-2
+// payload decoder, which FuzzLoadBundle cannot reach: its inputs almost
+// never carry a matching SHA-256 digest. Invariants: no panic; every
+// rejection wraps ErrCorrupt; allocation stays proportional to the
+// input, because every length prefix is checked against the bytes left
+// before it sizes an allocation; and a loaded model holds no NaN or
+// ±Inf.
+func FuzzBundlePayload(f *testing.F) {
+	raw := rawBundlePayload(f, tinyOutput())
+	f.Add(raw)
+	for _, n := range []int{0, 1, 4, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
+		f.Add(raw[:n]) // truncations
+	}
+	// Huge and "negative" (wrapped) length prefixes: the float count,
+	// the int count, K, V, and the doc count after the model scalars.
+	const docsOff = 4 + 3*8 + 1
+	for _, off := range []int{0, 1, 2, 3, docsOff} {
+		for _, v := range []uint64{1 << 40, math.MaxUint64} {
+			bad := binary.AppendUvarint(append([]byte(nil), raw[:off]...), v)
+			f.Add(append(bad, raw[off+1:]...))
+		}
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, 16)) // overlong varint
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := decodeBundlePayload(data)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, 128*uint64(len(data))+1<<20; grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), grew, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped payload error: %v", err)
+			}
+			return
+		}
+		m := out.Model
+		floats := [][]float64{m.LogLik, {m.Alpha, m.Gamma, m.EmulsionWeight}}
+		floats = append(append(floats, m.Phi...), m.Theta...)
+		for _, c := range append(append([]core.Component(nil), m.Gel...), m.Emu...) {
+			floats = append(floats, c.Mean, c.Precision.Data)
+		}
+		for _, d := range out.Docs {
+			floats = append(floats, d.Gel, d.Emulsion)
+		}
+		for _, fs := range floats {
+			for _, x := range fs {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("loaded a non-finite float %v", x)
+				}
+			}
 		}
 	})
 }
