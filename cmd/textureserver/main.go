@@ -64,7 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -104,8 +103,6 @@ func main() {
 		reqTimeout   = flag.Duration("request-timeout", 5*time.Second, "per-request deadline (504 past it; 0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "shutdown budget for in-flight requests")
 		admitWait    = flag.Duration("admit-wait", 250*time.Millisecond, "max wait for an annotator before shedding with 429")
-		f32Kernel    = flag.Bool("f32-kernel", false, "serve fold-ins through the float32 scoring kernel (float64 accumulation; fitting is unaffected)")
-		aliasKernel  = flag.Bool("alias-kernel", false, "serve fold-ins through alias-method/Gumbel categorical draws (different RNG stream than the default path)")
 		logFormat    = flag.String("log-format", "text", "access/progress log format: text or json")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logEvery     = flag.Int("log-every", 50, "log fitting progress every N sweeps (0 disables)")
@@ -145,7 +142,6 @@ func main() {
 	opts.AccessLog = logger
 	opts.Pprof = *pprofOn
 	opts.AdminToken = *adminToken
-	opts.Kernel = core.KernelOptions{Float32: *f32Kernel, Alias: *aliasKernel}
 	if *bundlePath != "" {
 		// A file-backed model can be replaced at runtime: SIGHUP and
 		// POST /admin/reload both re-read the bundle and swap it in

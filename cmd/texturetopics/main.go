@@ -46,7 +46,6 @@ func main() {
 		collapsed = flag.Bool("collapsed", false, "use the collapsed sampler")
 		noFilter  = flag.Bool("no-filter", false, "disable the word2vec relatedness filter")
 		workers   = flag.Int("workers", 1, "parallel Gibbs workers (AD-LDA approximation when > 1)")
-		restarts  = flag.Int("restarts", 1, "independent chains; the best by log-likelihood is kept")
 		noEmu     = flag.Bool("no-emulsion", false, "drop the emulsion likelihood (gel-only ablation)")
 		stream    = flag.String("stream", "", "stream this JSONL corpus file record-at-a-time instead of generating in memory")
 		corpSize  = flag.Int("corpus-size", 0, "stream exactly this many synthetic recipes through ingestion without materializing them (overrides -scale)")
@@ -110,7 +109,6 @@ func main() {
 	opts.Model.Seed = *seed
 	opts.Model.Collapsed = *collapsed
 	opts.Model.Workers = *workers
-	opts.Restarts = *restarts
 	opts.Model.UseEmulsion = !*noEmu
 	opts.UseW2VFilter = !*noFilter
 	opts.Checkpoint = pipeline.CheckpointOptions{Dir: *ckDir, Every: *ckEvery, Resume: *resume}

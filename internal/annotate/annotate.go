@@ -69,10 +69,6 @@ type Annotator struct {
 	TopTerms int
 	// Seed drives the fold-in chain.
 	Seed uint64
-	// Kernel selects opt-in fold-in scoring variants (alias-method
-	// draws, float32 scoring). The zero value is the default float64
-	// path, byte-identical to the seed implementation.
-	Kernel core.KernelOptions
 
 	excluded map[string][]string
 	refs     []rheology.Measurement
@@ -124,7 +120,7 @@ func (a *Annotator) Annotate(ctx context.Context, r *recipe.Recipe) (*Card, erro
 		wordIDs = append(wordIDs, id)
 	}
 
-	theta, err := a.model.FoldInOptsCtx(ctx, a.Kernel, wordIDs, r.GelFeatures(), r.EmulsionFeatures(), a.FoldInIters, a.Seed)
+	theta, err := a.model.FoldInCtx(ctx, wordIDs, r.GelFeatures(), r.EmulsionFeatures(), a.FoldInIters, a.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("annotate: %w", err)
 	}

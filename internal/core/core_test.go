@@ -307,6 +307,10 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if _, err := ReadResultJSON(bytes.NewBufferString(`{"k":2,"phi":[]}`)); err == nil {
 		t.Error("inconsistent payload should fail")
 	}
+	ragged := `{"k":1,"v":1,"phi":[[1]],"gel":[{"mean":[0,0],"precision":[[1,0],[0]]}],"emu":[{"mean":[0,0],"precision":[[1,0],[0,1]]}]}`
+	if _, err := ReadResultJSON(bytes.NewBufferString(ragged)); err == nil {
+		t.Error("ragged precision rows should fail")
+	}
 }
 
 func TestFitLDARecoversWordClusters(t *testing.T) {
@@ -372,31 +376,6 @@ func TestFitGMMValidation(t *testing.T) {
 	}
 	if _, err := FitGMM([][]float64{{1, 2}}, GMMConfig{K: 0, Alpha: 1, Iterations: 1}); err == nil {
 		t.Error("bad config should fail")
-	}
-}
-
-func TestFitBestSelectsBetterChain(t *testing.T) {
-	data, truth := synthData(200, 300)
-	cfg := smallCfg()
-	cfg.Iterations = 80
-	res, err := FitBest(data, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := clusterAccuracy(res.Y, truth, 3); acc < 0.9 {
-		t.Errorf("FitBest accuracy = %.3f", acc)
-	}
-	// The selected chain's tail log-likelihood is at least as good as a
-	// single default-seed run's.
-	single, err := Fit(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meanTail(res.LogLik) < meanTail(single.LogLik)-1e-9 {
-		t.Errorf("FitBest tail %g below single-run %g", meanTail(res.LogLik), meanTail(single.LogLik))
-	}
-	if _, err := FitBest(data, cfg, 0); err == nil {
-		t.Error("zero restarts should fail")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -45,7 +46,7 @@ type Result struct {
 
 	// kernel caches the fold-in working set (per-topic Gaussians,
 	// vocab-major φ). Built lazily by BuildKernel; never serialized.
-	kernel kernelCache
+	kernel atomic.Pointer[FoldInKernel]
 }
 
 // Estimate computes the point estimates of equation (5) from the
@@ -129,32 +130,6 @@ func Fit(data *Data, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return s.Estimate(), nil
-}
-
-// FitBest runs `restarts` independent chains (seeds cfg.Seed,
-// cfg.Seed+1, …) and returns the estimate of the chain with the best
-// mean post-burn-in log-likelihood. Gibbs chains on this model
-// occasionally settle in split/merge local optima; restart selection
-// is the standard, exactness-preserving remedy.
-func FitBest(data *Data, cfg Config, restarts int) (*Result, error) {
-	if restarts < 1 {
-		return nil, fmt.Errorf("core: need ≥1 restart, got %d", restarts)
-	}
-	var best *Result
-	bestLL := 0.0
-	for r := 0; r < restarts; r++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(r)
-		res, err := Fit(data, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: restart %d: %w", r, err)
-		}
-		ll := meanTail(res.LogLik)
-		if best == nil || ll > bestLL {
-			best, bestLL = res, ll
-		}
-	}
-	return best, nil
 }
 
 // meanTail averages the last half of a trace.

@@ -51,18 +51,10 @@ func (r *Result) FoldIn(words []int, gel, emu []float64, iters int, seed uint64)
 // bit-identical either way. Callers that also want to avoid the θ
 // allocation use the kernel's FoldInTo directly.
 func (r *Result) FoldInCtx(ctx context.Context, words []int, gel, emu []float64, iters int, seed uint64) ([]float64, error) {
-	return r.FoldInOptsCtx(ctx, KernelOptions{}, words, gel, emu, iters, seed)
-}
-
-// FoldInOptsCtx is FoldInCtx through an opt-in scoring variant (alias
-// draws, float32 scoring — see KernelOptions). The zero options value
-// is exactly FoldInCtx. Each variant's kernel is cached on the Result,
-// so per-call cost matches the default path.
-func (r *Result) FoldInOptsCtx(ctx context.Context, opts KernelOptions, words []int, gel, emu []float64, iters int, seed uint64) ([]float64, error) {
 	if iters <= 0 {
 		return nil, fmt.Errorf("core: fold-in needs positive iterations")
 	}
-	kn, err := r.BuildKernelOpts(opts)
+	kn, err := r.BuildKernel()
 	if err != nil {
 		return nil, err
 	}
@@ -71,4 +63,10 @@ func (r *Result) FoldInOptsCtx(ctx context.Context, opts KernelOptions, words []
 		return nil, err
 	}
 	return theta, nil
+}
+
+// FoldInOptsCtx is FoldInCtx; the options value is ignored. It stays
+// only because the benchmark module (bench/) calls it.
+func (r *Result) FoldInOptsCtx(ctx context.Context, _ KernelOptions, words []int, gel, emu []float64, iters int, seed uint64) ([]float64, error) {
+	return r.FoldInCtx(ctx, words, gel, emu, iters, seed)
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/stats"
@@ -257,4 +258,36 @@ func TestSweepScratchReuseKeepsChainsIndependent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFittingNeverRoutesThroughFloat32: the fitting sampler's entire
+// state — counts, components, scratch, parallel-shard buffers — and
+// the fold-in kernel's working set must contain no float32 anywhere.
+// A reflect walk over both types proves neither fitting nor serving
+// can route through reduced precision.
+func TestFittingNeverRoutesThroughFloat32(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Float32, reflect.Complex64:
+			t.Errorf("state holds float32 at %s", path)
+		case reflect.Ptr, reflect.Slice, reflect.Array, reflect.Chan:
+			walk(ty.Elem(), path+"/*")
+		case reflect.Map:
+			walk(ty.Key(), path+"/key")
+			walk(ty.Elem(), path+"/val")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Sampler{}), "Sampler")
+	walk(reflect.TypeOf(FoldInKernel{}), "FoldInKernel")
 }

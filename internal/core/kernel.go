@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -18,44 +17,17 @@ import (
 // the index panic a degenerate model used to trigger.
 var ErrDegenerateModel = errors.New("core: degenerate model")
 
-// KernelOptions selects an opt-in fold-in scoring variant. The zero
-// value is the default kernel: float64 scoring, inverse-CDF
-// categorical draws, chains byte-identical to the seed implementation.
-// Both options change the draw stream or the rounding, so they are
-// explicitly not byte-identical — they are distribution-equivalent
-// (alias) or tolerance-equivalent (float32), covered by the frequency
-// and fold-in equivalence suites.
-type KernelOptions struct {
-	// Alias draws the token-topic z with a per-word Vose alias table
-	// over the static α·φ_w part of the weights plus an exact sparse
-	// correction for the document-dependent part, and the document
-	// topic y with the Gumbel-max trick. The model is frozen during
-	// fold-in, so the tables never go stale; draws are exactly
-	// distributed but consume a different number of uniforms.
-	Alias bool
-	// Float32 scores φ and the concentration Gaussians in float32 with
-	// float64 accumulators. Serving-only: fitting has no float32 path.
-	Float32 bool
-}
-
-// slot maps the options to a kernel-cache slot index.
-func (o KernelOptions) slot() int {
-	s := 0
-	if o.Alias {
-		s |= 1
-	}
-	if o.Float32 {
-		s |= 2
-	}
-	return s
-}
+// KernelOptions is an empty placeholder kept only so the benchmark
+// module's FoldInOptsCtx call keeps compiling; the default float64
+// kernel is the only fold-in path.
+type KernelOptions struct{}
 
 // FoldInKernel is the per-model working set of fold-in inference,
 // precomputed once per Result: the per-topic concentration Gaussians
 // in struct-of-arrays banks (Cholesky log-determinants baked in) and
 // the φ matrix transposed to vocab-major columns so the z kernel's
 // inner topic loop reads one contiguous K-length row per token. Chains
-// drawn through the default kernel are bit-identical to the original
+// drawn through the kernel are bit-identical to the original
 // per-call derivation: the Gaussians are built by the same
 // constructor, the φ columns are exact copies, the log-count table
 // caches the exact values math.Log would return, and the pooled RNGs
@@ -67,29 +39,16 @@ func (o KernelOptions) slot() int {
 type FoldInKernel struct {
 	res *Result // hook + identity; model parameters are copied below
 
-	opts KernelOptions
-
 	k, v           int
 	gelDim, emuDim int
 	alpha          float64
 	useEmu         bool
 	emuWeight      float64
 
-	gelG []*stats.Gaussian
-	emuG []*stats.Gaussian
 	phiW [][]float64 // vocab-major φ columns: phiW[w][k] == Phi[k][w]
 
 	gelBank *stats.GaussianBank
 	emuBank *stats.GaussianBank
-
-	// Alias-mode state: one table per word over the static α·φ_w[k]
-	// weights (nil without the option).
-	aliasW []*stats.AliasTable
-
-	// Float32-mode state (nil without the option).
-	phiW32    [][]float32
-	gelBank32 *stats.GaussianBankF32
-	emuBank32 *stats.GaussianBankF32
 
 	pool sync.Pool // *foldScratch
 }
@@ -111,10 +70,6 @@ type foldScratch struct {
 	// logarithm K times per sweep. Values are bit-identical by
 	// construction (the cached expression is the original one).
 	logTab []float64
-
-	dynW   []float64 // alias mode: document-dependent weight part
-	gelD32 []float32 // float32 mode: centering scratch
-	emuD32 []float32
 
 	// yCache memoizes the y draw's exponentiated weight vector per
 	// topic-count state. The y weights are a pure function of the ndk
@@ -139,35 +94,25 @@ type yCacheEntry struct {
 	w     []float64 // exp(logw − max) for that state, length K
 }
 
-// BuildKernel validates the model shape and returns its default
-// fold-in kernel, constructing it on first call and reusing it
-// afterwards (SwapOutput installs a fresh Result, which starts with no
-// kernel). Shape defects are reported as errors matching
-// ErrDegenerateModel instead of the panic the unchecked index used to
-// raise.
+// BuildKernel validates the model shape and returns its fold-in
+// kernel, constructing it on first call and reusing it afterwards
+// (SwapOutput installs a fresh Result, which starts with no kernel).
+// Shape defects are reported as errors matching ErrDegenerateModel
+// instead of the panic the unchecked index used to raise.
 func (r *Result) BuildKernel() (*FoldInKernel, error) {
-	return r.BuildKernelOpts(KernelOptions{})
-}
-
-// BuildKernelOpts is BuildKernel for an opt-in scoring variant. Each
-// option combination caches its own kernel on the Result, so mixed
-// workloads (default fitting-side fold-ins next to a float32 serving
-// pool) don't rebuild per call.
-func (r *Result) BuildKernelOpts(opts KernelOptions) (*FoldInKernel, error) {
-	slot := opts.slot()
-	if kn := r.kernel.Load(slot); kn != nil {
+	if kn := r.kernel.Load(); kn != nil {
 		return kn, nil
 	}
-	kn, err := newFoldInKernel(r, opts)
+	kn, err := newFoldInKernel(r)
 	if err != nil {
 		return nil, err
 	}
 	// Two racing builders produce interchangeable kernels; keep the first.
-	r.kernel.CompareAndSwap(slot, nil, kn)
-	return r.kernel.Load(slot), nil
+	r.kernel.CompareAndSwap(nil, kn)
+	return r.kernel.Load(), nil
 }
 
-func newFoldInKernel(r *Result, opts KernelOptions) (*FoldInKernel, error) {
+func newFoldInKernel(r *Result) (*FoldInKernel, error) {
 	if r.K < 1 {
 		return nil, fmt.Errorf("%w: K=%d", ErrDegenerateModel, r.K)
 	}
@@ -189,7 +134,6 @@ func newFoldInKernel(r *Result, opts KernelOptions) (*FoldInKernel, error) {
 	}
 	kn := &FoldInKernel{
 		res:       r,
-		opts:      opts,
 		k:         r.K,
 		v:         r.V,
 		gelDim:    len(r.Gel[0].Mean),
@@ -197,9 +141,9 @@ func newFoldInKernel(r *Result, opts KernelOptions) (*FoldInKernel, error) {
 		alpha:     r.Alpha,
 		useEmu:    r.UseEmulsion,
 		emuWeight: r.EmulsionWeight,
-		gelG:      make([]*stats.Gaussian, r.K),
-		emuG:      make([]*stats.Gaussian, r.K),
 	}
+	gelG := make([]*stats.Gaussian, r.K)
+	emuG := make([]*stats.Gaussian, r.K)
 	for k := 0; k < r.K; k++ {
 		if len(r.Gel[k].Mean) != kn.gelDim || len(r.Emu[k].Mean) != kn.emuDim {
 			return nil, fmt.Errorf("%w: topic %d component dims %d/%d, topic 0 has %d/%d",
@@ -209,19 +153,19 @@ func newFoldInKernel(r *Result, opts KernelOptions) (*FoldInKernel, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: topic %d gel: %w", k, err)
 		}
-		kn.gelG[k] = g
+		gelG[k] = g
 		e, err := r.EmuGaussian(k)
 		if err != nil {
 			return nil, fmt.Errorf("core: topic %d emulsion: %w", k, err)
 		}
-		kn.emuG[k] = e
+		emuG[k] = e
 	}
 	kn.gelBank = stats.NewGaussianBank(r.K, kn.gelDim)
 	kn.emuBank = stats.NewGaussianBank(r.K, kn.emuDim)
-	if err := kn.gelBank.SetFromGaussians(kn.gelG); err != nil {
+	if err := kn.gelBank.SetFromGaussians(gelG); err != nil {
 		return nil, fmt.Errorf("core: gel bank: %w", err)
 	}
-	if err := kn.emuBank.SetFromGaussians(kn.emuG); err != nil {
+	if err := kn.emuBank.SetFromGaussians(emuG); err != nil {
 		return nil, fmt.Errorf("core: emulsion bank: %w", err)
 	}
 	flat := make([]float64, r.V*r.K)
@@ -233,39 +177,6 @@ func newFoldInKernel(r *Result, opts KernelOptions) (*FoldInKernel, error) {
 		}
 		kn.phiW[w] = col
 	}
-	if opts.Alias {
-		kn.aliasW = make([]*stats.AliasTable, r.V)
-		static := make([]float64, r.K)
-		for w := 0; w < r.V; w++ {
-			for k := 0; k < r.K; k++ {
-				static[k] = kn.alpha * kn.phiW[w][k]
-			}
-			t, err := stats.NewAliasTable(static)
-			if err != nil {
-				return nil, fmt.Errorf("core: alias table for word %d: %w", w, err)
-			}
-			kn.aliasW[w] = t
-		}
-	}
-	if opts.Float32 {
-		flat32 := make([]float32, r.V*r.K)
-		kn.phiW32 = make([][]float32, r.V)
-		for w := 0; w < r.V; w++ {
-			col := flat32[w*r.K : (w+1)*r.K : (w+1)*r.K]
-			for k := 0; k < r.K; k++ {
-				col[k] = float32(kn.phiW[w][k])
-			}
-			kn.phiW32[w] = col
-		}
-		kn.gelBank32 = stats.NewGaussianBankF32(r.K, kn.gelDim)
-		kn.emuBank32 = stats.NewGaussianBankF32(r.K, kn.emuDim)
-		if err := kn.gelBank32.SetFromGaussians(kn.gelG); err != nil {
-			return nil, fmt.Errorf("core: gel f32 bank: %w", err)
-		}
-		if err := kn.emuBank32.SetFromGaussians(kn.emuG); err != nil {
-			return nil, fmt.Errorf("core: emulsion f32 bank: %w", err)
-		}
-	}
 	kn.pool.New = func() any {
 		sc := &foldScratch{
 			rng:     stats.NewRNG(0, 0), // reseeded per request
@@ -276,13 +187,6 @@ func newFoldInKernel(r *Result, opts KernelOptions) (*FoldInKernel, error) {
 			catW:    make([]float64, kn.k),
 			gelDiff: make([]float64, kn.gelDim),
 			emuDiff: make([]float64, kn.emuDim),
-		}
-		if kn.opts.Alias {
-			sc.dynW = make([]float64, kn.k)
-		}
-		if kn.opts.Float32 {
-			sc.gelD32 = make([]float32, kn.gelDim)
-			sc.emuD32 = make([]float32, kn.emuDim)
 		}
 		for i := range sc.yCache {
 			sc.yCache[i].key = make([]int, kn.k)
@@ -297,15 +201,11 @@ func newFoldInKernel(r *Result, opts KernelOptions) (*FoldInKernel, error) {
 // its destination θ slice).
 func (kn *FoldInKernel) K() int { return kn.k }
 
-// Options returns the scoring variant the kernel was built with.
-func (kn *FoldInKernel) Options() KernelOptions { return kn.opts }
-
 // FoldInTo runs fold-in inference for one recipe, writing the averaged
 // θ of the chain's second half into theta (length K). It is FoldInCtx
 // with the allocation moved to the caller: steady-state calls touch
-// only pooled scratch. Default-kernel chains are bit-identical to
-// FoldInCtx for the same inputs; alias and float32 kernels draw their
-// own (deterministic, seeded) chains.
+// only pooled scratch. Chains are bit-identical to FoldInCtx for the
+// same inputs.
 func (kn *FoldInKernel) FoldInTo(ctx context.Context, theta []float64, words []int, gel, emu []float64, iters int, seed uint64) error {
 	if iters <= 0 {
 		return fmt.Errorf("core: fold-in needs positive iterations")
@@ -328,19 +228,9 @@ func (kn *FoldInKernel) FoldInTo(ctx context.Context, theta []float64, words []i
 
 	// Concentration log-likelihood per topic is constant across sweeps.
 	conc := sc.conc
-	if kn.opts.Float32 {
-		for k := range conc {
-			conc[k] = 0
-		}
-		kn.gelBank32.AddLogPdf(conc, gel, 1, sc.gelD32)
-		if kn.useEmu {
-			kn.emuBank32.AddLogPdf(conc, emu, kn.emuWeight, sc.emuD32)
-		}
-	} else {
-		kn.gelBank.LogPdfInto(conc, gel, sc.gelDiff)
-		if kn.useEmu {
-			kn.emuBank.AddLogPdf(conc, emu, kn.emuWeight, sc.emuDiff)
-		}
+	kn.gelBank.LogPdfInto(conc, gel, sc.gelDiff)
+	if kn.useEmu {
+		kn.emuBank.AddLogPdf(conc, emu, kn.emuWeight, sc.emuDiff)
 	}
 
 	// The y kernel's log(N_dk+α) terms range over counts 0…len(words);
@@ -375,15 +265,7 @@ func (kn *FoldInKernel) FoldInTo(ctx context.Context, theta []float64, words []i
 	for k := range theta {
 		theta[k] = 0
 	}
-	kept := 0
-	var err error
-	switch {
-	case kn.opts.Alias:
-		kept, y, err = kn.sweepAlias(ctx, theta, words, z, ndk, conc, logTab, y, iters, sc, start)
-	default:
-		kept, y, err = kn.sweepDefault(ctx, theta, words, z, ndk, conc, logTab, y, iters, sc, start)
-	}
-	_ = y
+	kept, err := kn.sweep(ctx, theta, words, z, ndk, conc, logTab, y, iters, sc, start)
 	if err != nil {
 		return err
 	}
@@ -396,15 +278,14 @@ func (kn *FoldInKernel) FoldInTo(ctx context.Context, theta []float64, words []i
 	return nil
 }
 
-// sweepDefault is the seed-equivalent Gibbs loop: inverse-CDF
-// categorical draws, float64 (or float32, when the option is set)
-// scoring. On the default float64 kernel every weight, draw and θ
-// contribution is bit-identical to the original implementation — the
-// loop only hoists the per-topic branch on y into a single fixup,
-// looks the y kernel's logarithms up from the per-request table, and
-// uses the fused draw variants (all individually bit-exact
-// transformations).
-func (kn *FoldInKernel) sweepDefault(ctx context.Context, theta []float64, words []int, z, ndk []int, conc, logTab []float64, y, iters int, sc *foldScratch, start time.Time) (int, int, error) {
+// sweep is the seed-equivalent Gibbs loop: inverse-CDF categorical
+// draws over float64 scores. Every weight, draw and θ contribution is
+// bit-identical to the original implementation — the loop only hoists
+// the per-topic branch on y into a single fixup, looks the y kernel's
+// logarithms up from the per-request table, and uses the fused draw
+// variants (all individually bit-exact transformations). It returns
+// the number of sweeps averaged into θ.
+func (kn *FoldInKernel) sweep(ctx context.Context, theta []float64, words []int, z, ndk []int, conc, logTab []float64, y, iters int, sc *foldScratch, start time.Time) (int, error) {
 	kk := kn.k
 	alpha := kn.alpha
 	weights := sc.weights[:kk]
@@ -415,7 +296,6 @@ func (kn *FoldInKernel) sweepDefault(ctx context.Context, theta []float64, words
 	half := iters / 2
 	denom := float64(len(words)) + 1 + alpha*float64(kk)
 	rng := sc.rng
-	f32 := kn.opts.Float32
 	for i := range sc.yCache {
 		sc.yCache[i].valid = false
 	}
@@ -424,36 +304,21 @@ func (kn *FoldInKernel) sweepDefault(ctx context.Context, theta []float64, words
 			if hook := kn.res.FoldInHook; hook != nil {
 				hook(FoldInStats{Sweeps: it, Words: len(words), Total: time.Since(start), Canceled: true})
 			}
-			return 0, y, &CanceledError{Sweeps: it, Cause: err}
+			return 0, &CanceledError{Sweeps: it, Cause: err}
 		}
-		if f32 {
-			for n, w := range words {
-				ndk[z[n]]--
-				row := kn.phiW32[w][:kk]
-				a32 := float32(alpha)
-				for k := 0; k < kk; k++ {
-					weights[k] = float64((float32(ndk[k]) + a32) * row[k])
-				}
-				weights[y] = float64((float32(ndk[y]) + 1 + a32) * row[y])
-				zn := rng.CategoricalFast(weights)
-				z[n] = zn
-				ndk[zn]++
+		for n, w := range words {
+			ndk[z[n]]--
+			row := kn.phiW[w][:kk]
+			for k := 0; k < kk; k++ {
+				weights[k] = (float64(ndk[k]) + alpha) * row[k]
 			}
-		} else {
-			for n, w := range words {
-				ndk[z[n]]--
-				row := kn.phiW[w][:kk]
-				for k := 0; k < kk; k++ {
-					weights[k] = (float64(ndk[k]) + alpha) * row[k]
-				}
-				// The y-coupled topic carries the +1 recipe-topic pull;
-				// fixing it up once replaces a branch per topic. For k≠y
-				// the original addend was an exact +0.
-				weights[y] = (float64(ndk[y]) + 1 + alpha) * row[y]
-				zn := rng.CategoricalFast(weights)
-				z[n] = zn
-				ndk[zn]++
-			}
+			// The y-coupled topic carries the +1 recipe-topic pull;
+			// fixing it up once replaces a branch per topic. For k≠y
+			// the original addend was an exact +0.
+			weights[y] = (float64(ndk[y]) + 1 + alpha) * row[y]
+			zn := rng.CategoricalFast(weights)
+			z[n] = zn
+			ndk[zn]++
 		}
 		// y draw, memoized per ndk state: an inverse-CDF draw over the
 		// cached exp weights is bit-identical to recomputing them (and
@@ -485,7 +350,7 @@ func (kn *FoldInKernel) sweepDefault(ctx context.Context, theta []float64, words
 			}
 		}
 	}
-	return kept, y, nil
+	return kept, nil
 }
 
 // intsEqual reports element-wise equality of equal-length int slices.
@@ -496,91 +361,4 @@ func intsEqual(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// sweepAlias is the opt-in alias/Gumbel Gibbs loop. The z weights
-// decompose as (N_dk + M_dk)·φ_w[k] + α·φ_w[k]: the document-dependent
-// first part is summed exactly per step, the static second part is the
-// per-word alias table built at kernel construction — O(1) to draw
-// from however large K grows. The model is frozen, so the decomposed
-// draw is exactly distributed (no stale-weight approximation); it
-// consumes uniforms differently from the default path, which is why
-// the whole mode is opt-in. y uses the Gumbel-max trick.
-func (kn *FoldInKernel) sweepAlias(ctx context.Context, theta []float64, words []int, z, ndk []int, conc, logTab []float64, y, iters int, sc *foldScratch, start time.Time) (int, int, error) {
-	kk := kn.k
-	alpha := kn.alpha
-	logw := sc.logw[:kk]
-	dynW := sc.dynW[:kk]
-	ndk = ndk[:kk]
-	conc = conc[:kk]
-	kept := 0
-	half := iters / 2
-	denom := float64(len(words)) + 1 + alpha*float64(kk)
-	rng := sc.rng
-	for it := 0; it < iters; it++ {
-		if err := ctx.Err(); err != nil {
-			if hook := kn.res.FoldInHook; hook != nil {
-				hook(FoldInStats{Sweeps: it, Words: len(words), Total: time.Since(start), Canceled: true})
-			}
-			return 0, y, &CanceledError{Sweeps: it, Cause: err}
-		}
-		for n, w := range words {
-			ndk[z[n]]--
-			row := kn.phiW[w][:kk]
-			sdyn := 0.0
-			for k := 0; k < kk; k++ {
-				dw := float64(ndk[k]) * row[k]
-				dynW[k] = dw
-				sdyn += dw
-			}
-			dynW[y] += row[y]
-			sdyn += row[y]
-			tab := kn.aliasW[w]
-			var zn int
-			if u := rng.Float64() * (sdyn + tab.Total()); u < sdyn {
-				acc := 0.0
-				zn = kk - 1
-				for k := 0; k < kk; k++ {
-					acc += dynW[k]
-					if u < acc {
-						zn = k
-						break
-					}
-				}
-			} else {
-				zn = rng.AliasDraw(tab)
-			}
-			z[n] = zn
-			ndk[zn]++
-		}
-		for k := 0; k < kk; k++ {
-			logw[k] = logTab[ndk[k]] + conc[k]
-		}
-		y = rng.GumbelMaxLog(logw)
-
-		if it >= half {
-			kept++
-			for k := 0; k < kk; k++ {
-				m := 0.0
-				if y == k {
-					m = 1
-				}
-				theta[k] += (float64(ndk[k]) + m + alpha) / denom
-			}
-		}
-	}
-	return kept, y, nil
-}
-
-// kernelCache is the Result-side slot set BuildKernelOpts fills, one
-// slot per option combination. It lives in its own type so Result
-// stays a plain data struct for JSON round trips; the slots are
-// deliberately not serialized.
-type kernelCache struct {
-	p [4]atomic.Pointer[FoldInKernel]
-}
-
-func (c *kernelCache) Load(slot int) *FoldInKernel { return c.p[slot].Load() }
-func (c *kernelCache) CompareAndSwap(slot int, old, new *FoldInKernel) bool {
-	return c.p[slot].CompareAndSwap(old, new)
 }

@@ -39,8 +39,14 @@ func toJSONComponent(c Component) jsonComponent {
 }
 
 func fromJSONComponent(j jsonComponent) (Component, error) {
-	if len(j.Precision) == 0 || len(j.Precision[0]) != len(j.Precision) {
-		return Component{}, fmt.Errorf("core: component precision is not square")
+	if len(j.Precision) == 0 {
+		return Component{}, fmt.Errorf("core: component precision is empty")
+	}
+	for i, row := range j.Precision {
+		if len(row) != len(j.Precision) {
+			return Component{}, fmt.Errorf("core: component precision row %d has %d entries, want %d (not square)",
+				i, len(row), len(j.Precision))
+		}
 	}
 	if len(j.Mean) != len(j.Precision) {
 		return Component{}, fmt.Errorf("core: component mean dim %d, precision %d", len(j.Mean), len(j.Precision))

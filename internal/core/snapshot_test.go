@@ -83,14 +83,17 @@ func TestCrashResumeDeterminism(t *testing.T) {
 		{"learn-alpha", func(c *Config) { c.LearnAlpha = true; c.BurnIn = 5 }},
 	}
 	// The kill sweep is random per mode (seeded, so failures reproduce).
+	// It is drawn here, before the parallel subtests start, so the
+	// shared generator is never used concurrently and each mode always
+	// gets the same sweep.
 	pick := rand.New(rand.NewPCG(42, 0))
 	for _, mode := range modes {
+		cfg := snapshotTestConfig()
+		mode.mut(&cfg)
+		killAt := 1 + pick.IntN(cfg.Iterations-2)
 		t.Run(mode.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := snapshotTestConfig()
-			mode.mut(&cfg)
 			data, _ := synthData(7, 60)
-			killAt := 1 + pick.IntN(cfg.Iterations-2)
 
 			want := runUninterrupted(t, data, cfg)
 			snap := runKilled(t, data, cfg, killAt)

@@ -337,8 +337,8 @@ func (st *FitCheckpointStore) Discard(reason string) error {
 	return err
 }
 
-// fitModel runs the model stage, honouring sharding, restarts,
-// checkpointing and supervision. The incident slice is non-empty only
+// fitModel runs the model stage, honouring sharding, checkpointing
+// and supervision. The incident slice is non-empty only
 // for supervised fits that needed recovery; the summary is non-nil
 // only for sharded fits.
 func fitModel(data *core.Data, opts Options) (*core.Result, []resilience.Incident, *ShardFitSummary, error) {
@@ -367,19 +367,10 @@ func fitUnsharded(data *core.Data, opts Options) (*core.Result, []resilience.Inc
 	if opts.Supervise {
 		return fitSupervised(data, opts)
 	}
-	restarts := opts.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
 	ck := opts.Checkpoint
 	if ck.Dir == "" {
-		res, err := core.FitBest(data, opts.Model, restarts)
+		res, err := core.Fit(data, opts.Model)
 		return res, nil, err
-	}
-	if restarts > 1 {
-		// Unreachable via Run/RunOnRecipes (Options.validate rejects the
-		// combination) but kept for direct callers.
-		return nil, nil, fmt.Errorf("checkpointing supports a single chain, not Restarts=%d: %w", restarts, ErrOptions)
 	}
 	cfg := opts.Model
 	cfg.CheckpointEvery = ck.Every

@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -68,12 +67,17 @@ func validBundleV2(t testing.TB) []byte {
 }
 
 // jsonBundlePayload renders o as the schema-1 payload older builds
-// wrote: one gzip-compressed JSON document.
-func jsonBundlePayload(t testing.TB, o *Output) []byte {
+// wrote: one gzip-compressed JSON document. A non-nil editModel
+// rewrites the model JSON first, to plant damage the digest covers.
+func jsonBundlePayload(t testing.TB, o *Output, editModel func([]byte) []byte) []byte {
 	t.Helper()
 	var modelBuf bytes.Buffer
 	if err := o.Model.WriteJSON(&modelBuf); err != nil {
 		t.Fatal(err)
+	}
+	model := modelBuf.Bytes()
+	if editModel != nil {
+		model = editModel(model)
 	}
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
@@ -83,7 +87,7 @@ func jsonBundlePayload(t testing.TB, o *Output) []byte {
 		Version:       bundleSchemaJSON,
 		Docs:          o.Docs,
 		ExcludedTerms: o.ExcludedTerms,
-		Model:         json.RawMessage(modelBuf.Bytes()),
+		Model:         json.RawMessage(model),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func jsonBundlePayload(t testing.TB, o *Output) []byte {
 func schema1Bundle(t testing.TB, o *Output) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeContainer(&buf, kindBundle, bundleSchemaJSON, jsonBundlePayload(t, o), nil); err != nil {
+	if err := writeContainer(&buf, kindBundle, bundleSchemaJSON, jsonBundlePayload(t, o, nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -108,7 +112,7 @@ func schema1Bundle(t testing.TB, o *Output) []byte {
 // it: a naked gzip+JSON stream with no envelope. The loader no longer
 // reads that format; it must reject it as not a bundle.
 func validBundleV1(t testing.TB) []byte {
-	return jsonBundlePayload(t, tinyOutput())
+	return jsonBundlePayload(t, tinyOutput(), nil)
 }
 
 // TestLoadBundleReadsBothFormats: the current loader accepts its own
@@ -178,6 +182,23 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 		}
 		return buf.Bytes()
 	}()
+	// A schema-1 container with a valid digest whose model JSON holds a
+	// ragged precision matrix: the model decoder must reject it, not
+	// panic building the matrix.
+	raggedPrecision := func() []byte {
+		ragged := func(model []byte) []byte {
+			out := bytes.Replace(model, []byte(`"precision":[[1,0],[0,1]]`), []byte(`"precision":[[1,0],[0]]`), 1)
+			if bytes.Equal(out, model) {
+				t.Fatal("ragged-precision edit matched nothing")
+			}
+			return out
+		}
+		var buf bytes.Buffer
+		if err := writeContainer(&buf, kindBundle, bundleSchemaJSON, jsonBundlePayload(t, tinyOutput(), ragged), nil); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}()
 	wrongKind := func() []byte {
 		var buf bytes.Buffer
 		if err := writeContainer(&buf, kindCheckpoint, 1, []byte("snapshot bytes"), nil); err != nil {
@@ -204,6 +225,7 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 		{"future-container-format", bytes.Replace(append([]byte(nil), v2...), []byte(`"format":2`), []byte(`"format":9`), 1), ErrVersion},
 		{"future-schema", futureSchema, ErrVersion},
 		{"checkpoint-as-bundle", wrongKind, ErrKind},
+		{"schema1-ragged-precision", raggedPrecision, ErrCorrupt},
 		// Naked gzip streams, whole or damaged, are not bundles.
 		{"v1-naked-gzip", v1, ErrCorrupt},
 		{"v1-torn-gzip", v1[:len(v1)/2], ErrCorrupt},
@@ -494,19 +516,6 @@ func TestPipelineCheckpointResume(t *testing.T) {
 	}
 	if len(full.Model.LogLik) != len(resumed.Model.LogLik) {
 		t.Fatalf("loglik trace %d vs %d", len(resumed.Model.LogLik), len(full.Model.LogLik))
-	}
-}
-
-// TestPipelineCheckpointRejectsRestarts: multi-chain restarts cannot
-// share one checkpoint file.
-func TestPipelineCheckpointRejectsRestarts(t *testing.T) {
-	opts := testOptions()
-	opts.Restarts = 3
-	opts.Checkpoint = CheckpointOptions{Dir: t.TempDir()}
-	recipes := mustGenerate(t, opts)
-	if _, err := RunOnRecipes(recipes, opts); err == nil ||
-		!strings.Contains(err.Error(), "single chain") {
-		t.Fatalf("restarts+checkpointing should be rejected, got %v", err)
 	}
 }
 

@@ -35,21 +35,15 @@ type Options struct {
 	// (the paper's 10%).
 	MaxUnrelated float64
 
-	// Restarts > 1 fits that many independent chains and keeps the one
-	// with the best post-burn-in log-likelihood (core.FitBest) — the
-	// remedy for occasional split/merge local optima.
-	Restarts int
-
 	// Checkpoint enables durable crash recovery for the model-fit stage
-	// (see CheckpointOptions). Incompatible with Restarts > 1.
+	// (see CheckpointOptions).
 	Checkpoint CheckpointOptions
 
 	// Supervise runs the fit under the self-healing supervisor: sweeps
 	// are health-checked (NaN / log-likelihood collapse / topic
 	// implosion / degenerate covariance / stalls), and unhealthy chains
 	// roll back to the last healthy checkpoint (when Checkpoint.Dir is
-	// set) or restart reseeded. Incompatible with Restarts > 1 — the
-	// supervisor owns the single chain.
+	// set) or restart reseeded.
 	Supervise bool
 	// MaxRestarts bounds supervised recovery attempts after the first
 	// (default 3 when Supervise is set).
@@ -67,7 +61,7 @@ type Options struct {
 	// shards, fits each as an independent supervised chain, and merges
 	// the shards' sufficient statistics into one model — the
 	// corpus-scale fault-tolerant fit (internal/shardfit, which must be
-	// imported to register the fitter). Incompatible with Restarts > 1,
+	// imported to register the fitter). Incompatible with
 	// Checkpoint.Dir (shards checkpoint under ShardDir) and
 	// Model.LearnAlpha (α must stay fixed and shared across shards for
 	// the statistics to merge).
@@ -184,14 +178,6 @@ var ErrOptions = errors.New("pipeline: invalid options")
 // validate rejects option combinations with no coherent semantics
 // before any stage spends work.
 func (o *Options) validate() error {
-	if o.Restarts > 1 && o.Checkpoint.Dir != "" {
-		return fmt.Errorf("%w: Checkpoint.Dir with Restarts=%d (checkpointing tracks a single chain; drop Restarts or the checkpoint dir)",
-			ErrOptions, o.Restarts)
-	}
-	if o.Restarts > 1 && o.Supervise {
-		return fmt.Errorf("%w: Supervise with Restarts=%d (the supervisor owns a single chain; use MaxRestarts for recovery attempts)",
-			ErrOptions, o.Restarts)
-	}
 	if o.MaxRestarts < 0 {
 		return fmt.Errorf("%w: MaxRestarts=%d negative", ErrOptions, o.MaxRestarts)
 	}
@@ -212,9 +198,6 @@ func (o *Options) validate() error {
 	}
 	if o.ShardCount > 1 {
 		switch {
-		case o.Restarts > 1:
-			return fmt.Errorf("%w: ShardCount=%d with Restarts=%d (shards are single chains; retries and supervision handle recovery)",
-				ErrOptions, o.ShardCount, o.Restarts)
 		case o.Checkpoint.Dir != "":
 			return fmt.Errorf("%w: ShardCount=%d with Checkpoint.Dir (shard checkpoints live under ShardDir)",
 				ErrOptions, o.ShardCount)

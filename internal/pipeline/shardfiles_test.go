@@ -192,7 +192,6 @@ func TestOptionsValidateSharding(t *testing.T) {
 		"negative shards":     func(o *Options) { o.ShardCount = -1 },
 		"negative retries":    func(o *Options) { o.ShardRetries = -1 },
 		"negative straggler":  func(o *Options) { o.StragglerTimeout = -1 },
-		"shards+restarts":     func(o *Options) { o.Restarts = 3 },
 		"shards+checkpoint":   func(o *Options) { o.Checkpoint.Dir = "x" },
 		"shards+learn alpha":  func(o *Options) { o.Model.LearnAlpha = true },
 		"shard dir unsharded": func(o *Options) { o.ShardCount = 1; o.ShardDir = "x" },

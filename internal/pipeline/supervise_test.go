@@ -314,29 +314,12 @@ func TestSupervisedFitHealthMetrics(t *testing.T) {
 }
 
 // TestOptionsRejectsIncoherentCombos: Run and RunOnRecipes refuse
-// option combinations with no defined semantics, typed as ErrOptions,
-// regardless of which conflicting field is "first".
+// supervision settings with no defined semantics, typed as ErrOptions.
 func TestOptionsRejectsIncoherentCombos(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Options)
 	}{
-		{"restarts+checkpoint", func(o *Options) {
-			o.Restarts = 3
-			o.Checkpoint = CheckpointOptions{Dir: t.TempDir()}
-		}},
-		{"checkpoint+restarts", func(o *Options) {
-			o.Checkpoint = CheckpointOptions{Dir: t.TempDir()}
-			o.Restarts = 3
-		}},
-		{"restarts+supervise", func(o *Options) {
-			o.Restarts = 2
-			o.Supervise = true
-		}},
-		{"supervise+restarts", func(o *Options) {
-			o.Supervise = true
-			o.Restarts = 2
-		}},
 		{"negative-max-restarts", func(o *Options) { o.MaxRestarts = -1 }},
 		{"negative-sweep-timeout", func(o *Options) { o.SweepTimeout = -1 }},
 		{"negative-max-ll-drop", func(o *Options) { o.MaxLLDrop = -0.5 }},

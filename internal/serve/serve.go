@@ -61,12 +61,6 @@ type Options struct {
 	// FoldInIters overrides the Gibbs sweeps per annotation when
 	// positive (the annotator default otherwise).
 	FoldInIters int
-	// Kernel selects opt-in fold-in scoring variants for every pooled
-	// annotator (alias-method draws via Alias, float32 scoring via
-	// Float32). The zero value keeps the default float64 path, which
-	// is byte-identical to the seed implementation. Serving-only:
-	// fitting never consults these options.
-	Kernel core.KernelOptions
 	// Cache enables the request-level annotation cache: responses are
 	// stored in a bounded LRU keyed by (model generation, recipe
 	// content hash) and repeats are served without a pool slot or a
@@ -269,7 +263,6 @@ func (s *Server) buildPool(out *pipeline.Output) (chan *annotate.Annotator, erro
 			return nil, err
 		}
 		ann.Seed = s.opts.Seed + uint64(i)
-		ann.Kernel = s.opts.Kernel
 		if s.opts.FoldInIters > 0 {
 			ann.FoldInIters = s.opts.FoldInIters
 		}

@@ -245,88 +245,6 @@ func scoreTopics3x6(out, logTab []float64, ndk []int, gel *GaussianBank, xg []fl
 	}
 }
 
-// GaussianBankF32 is the float32 scoring variant of GaussianBank: the
-// means and precisions are stored in float32 and the per-row products
-// run in float32, while the quadratic form and log-density accumulate
-// in float64. Serving-only — fitting always scores through the float64
-// bank — and opt-in, since results differ from the float64 path by
-// rounding (covered by the fold-in tolerance suite).
-type GaussianBankF32 struct {
-	k, d     int
-	means    []float32
-	prec     []float32
-	logConst []float64 // kept in float64: it is x-independent and cheap
-}
-
-// NewGaussianBankF32 allocates an empty float32 bank.
-func NewGaussianBankF32(k, d int) *GaussianBankF32 {
-	return &GaussianBankF32{
-		k:        k,
-		d:        d,
-		means:    make([]float32, k*d),
-		prec:     make([]float32, k*d*d),
-		logConst: make([]float64, k),
-	}
-}
-
-// K returns the component count.
-func (b *GaussianBankF32) K() int { return b.k }
-
-// Dim returns the component dimension.
-func (b *GaussianBankF32) Dim() int { return b.d }
-
-// SetFromGaussians narrows the parameters of gs into the bank.
-func (b *GaussianBankF32) SetFromGaussians(gs []*Gaussian) error {
-	if len(gs) != b.k {
-		return fmt.Errorf("stats: bank sized for %d components, got %d", b.k, len(gs))
-	}
-	d := b.d
-	for k, g := range gs {
-		if g.Dim() != d {
-			return fmt.Errorf("stats: bank dim %d, component %d has dim %d", d, k, g.Dim())
-		}
-		for i, v := range g.Mean {
-			b.means[k*d+i] = float32(v)
-		}
-		for i, v := range g.Precision.Data {
-			b.prec[k*d*d+i] = float32(v)
-		}
-		b.logConst[k] = 0.5 * (g.logDet - float64(d)*log2Pi)
-	}
-	return nil
-}
-
-// AddLogPdf accumulates out[k] += weight·logpdf_k(x) with float32
-// centering and products and float64 accumulation.
-func (b *GaussianBankF32) AddLogPdf(out, x []float64, weight float64, diff []float32) {
-	d := b.d
-	if len(x) != d || len(diff) < d || len(out) < b.k {
-		panic("stats: dim mismatch in GaussianBankF32.AddLogPdf")
-	}
-	diff = diff[:d]
-	for k := 0; k < b.k; k++ {
-		mean := b.means[k*d : (k+1)*d]
-		for i := 0; i < d; i++ {
-			diff[i] = float32(x[i]) - mean[i]
-		}
-		p := b.prec[k*d*d : (k+1)*d*d]
-		q := 0.0
-		for i := 0; i < d; i++ {
-			di := diff[i]
-			if di == 0 {
-				continue
-			}
-			row := p[i*d : (i+1)*d]
-			s := 0.0
-			for j := 0; j < d; j++ {
-				s += float64(row[j] * diff[j])
-			}
-			q += float64(di) * s
-		}
-		out[k] += weight * (b.logConst[k] - 0.5*q)
-	}
-}
-
 // AddPredictiveLogPdf accumulates out[k] += weight·accs[k].PredictiveLogPdf(x)
 // for every accumulator in one call — the batched form the collapsed y
 // kernel uses. Each accumulator's forward substitution runs over the
