@@ -19,7 +19,7 @@ BENCHTIME ?= 1s
 BENCHCOUNT ?= 3
 BENCH_PATTERN := BenchmarkServeAnnotate|BenchmarkServeAnnotateBatch|BenchmarkFoldInPlacement|BenchmarkFoldInSteadyState|BenchmarkGibbsSweep|BenchmarkBundleSave|BenchmarkBundleLoad|BenchmarkSupervisedFit|BenchmarkUnsupervisedFit|BenchmarkShardedFit|BenchmarkIngestAck|BenchmarkServeAnnotateFreshRecipe
 
-.PHONY: build test verify smoke bench-serve bench bench-compare bench-all profile fuzz-smoke pgo pgo-check
+.PHONY: build test verify smoke bench-serve bench bench-compare bench-all bench-e2e profile fuzz-smoke pgo pgo-check
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,13 @@ bench-compare:
 
 bench-all:
 	$(GO) test -run '^$$' -bench . .
+
+# The end-to-end benchmark BENCHMARK.json declares: every workload once
+# (open-loop HTTP load on a real textureserver, and the corpus →
+# promoted-bundle refit) with seed 1. Builds into .bench_build/ and
+# exits non-zero unless every workload is correct.
+bench-e2e:
+	bash bench/run.sh --workload all --seed 1
 
 # Profile-guided optimization: collect CPU profiles from the fit-path
 # and serve-path benchmarks separately, merge them with pprof, and

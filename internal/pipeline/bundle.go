@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -99,7 +100,16 @@ func (o *Output) bundlePayload() ([]byte, error) {
 // the raw recipe corpus is not part of a bundle (AllRecipes and Kept
 // are nil).
 func LoadBundle(r io.Reader) (*Output, error) {
-	payload, hdr, err := readBundleContainer(r)
+	b, err := readSource(r)
+	if err != nil {
+		return nil, err
+	}
+	return loadBundle(b)
+}
+
+// loadBundle is LoadBundle over the container bytes b.
+func loadBundle(b []byte) (*Output, error) {
+	payload, hdr, err := parseContainer(b, kindBundle)
 	if err != nil {
 		return nil, err
 	}
@@ -117,18 +127,43 @@ func LoadBundle(r io.Reader) (*Output, error) {
 	return decodeBundlePayload(raw)
 }
 
+// maxDeflateRatio is the most a deflate stream can expand: no code is
+// shorter than two bits, and none stands for more than 258 bytes.
+const maxDeflateRatio = 1032
+
 // gunzipPayload decompresses a bundle payload: exactly one gzip
 // member, read to EOF so its CRC-32 and length footer are verified,
 // with nothing after it. Every failure wraps ErrCorrupt.
+//
+// The output buffer is allocated once, at the size the member's
+// trailer (ISIZE) declares, so a load never grows and copies it. The
+// claim is trusted only up to deflate's maximum ratio over the
+// compressed length, and the gzip reader still checks it against the
+// bytes it inflates: a stream shorter than the claim fails ReadFull, a
+// longer one yields a byte where EOF must be.
 func gunzipPayload(payload []byte) ([]byte, error) {
+	if len(payload) < 8 {
+		return nil, fmt.Errorf("pipeline: bundle stream of %d bytes has no trailer: %w", len(payload), ErrCorrupt)
+	}
+	size := uint64(binary.LittleEndian.Uint32(payload[len(payload)-4:]))
+	if size > maxDeflateRatio*uint64(len(payload)) {
+		return nil, fmt.Errorf("pipeline: bundle stream claims %d bytes from %d compressed: %w",
+			size, len(payload), ErrCorrupt)
+	}
 	src := bytes.NewReader(payload)
 	gz, err := gzip.NewReader(src)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: opening bundle: %w: %w", ErrCorrupt, err)
 	}
 	gz.Multistream(false)
-	raw, err := io.ReadAll(gz)
-	if err != nil {
+	raw := make([]byte, size)
+	if _, err := io.ReadFull(gz, raw); err != nil {
+		return nil, fmt.Errorf("pipeline: bundle stream damaged: %w: %w", ErrCorrupt, err)
+	}
+	var more [1]byte
+	if n, err := gz.Read(more[:]); n != 0 {
+		return nil, fmt.Errorf("pipeline: bundle stream holds more than the %d bytes its trailer declares: %w", size, ErrCorrupt)
+	} else if err != io.EOF {
 		return nil, fmt.Errorf("pipeline: bundle stream damaged: %w: %w", ErrCorrupt, err)
 	}
 	// A *bytes.Reader is an io.ByteReader, so the decompressor reads no

@@ -429,9 +429,16 @@ func (d *payloadDecoder) floatSlice(n int) []float64 {
 	}
 	out := d.floats[:n:n]
 	d.floats = d.floats[n:]
+	src := d.buf[d.off : d.off+8*n]
 	for i := range out {
-		out[i] = d.float()
+		bits := binary.LittleEndian.Uint64(src[8*i : 8*i+8])
+		if bits&expMask == expMask {
+			d.fail("non-finite float at byte %d", d.off+8*i)
+			return nil
+		}
+		out[i] = math.Float64frombits(bits)
 	}
+	d.off += 8 * n
 	return out
 }
 

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -256,6 +258,62 @@ func TestLoadBundleRejectsDamagedPayload(t *testing.T) {
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadBundleRejectsLyingGzipTrailer: the loader sizes its inflate
+// buffer from the gzip trailer's ISIZE field, so a trailer that lies —
+// re-digested so the lie reaches gunzip — must be ErrCorrupt, and a
+// claim past deflate's maximum ratio must allocate nothing for it.
+func TestLoadBundleRejectsLyingGzipTrailer(t *testing.T) {
+	raw := rawBundlePayload(t, tinyOutput())
+	var gzBuf bytes.Buffer
+	gz := gzip.NewWriter(&gzBuf)
+	if _, err := gz.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stream := gzBuf.Bytes()
+	overRatio := uint32(maxDeflateRatio*len(stream) + 1)
+
+	for _, tc := range []struct {
+		name  string
+		claim uint32
+	}{
+		{"fewer-bytes-than-stream", uint32(len(raw) - 1)},
+		{"more-bytes-than-stream", uint32(len(raw) + 1)},
+		{"over-deflate-ratio", overRatio},
+		{"max-uint32", math.MaxUint32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lying := append([]byte(nil), stream...)
+			binary.LittleEndian.PutUint32(lying[len(lying)-4:], tc.claim)
+			var buf bytes.Buffer
+			if err := writeContainer(&buf, kindBundle, bundleSchemaBinary, lying, nil); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			grew := allocated(func() { _, err = LoadBundle(bytes.NewReader(buf.Bytes())) })
+			// gunzip itself must refuse it, before the decoder sees a
+			// short or padded payload.
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bundle stream") {
+				t.Fatalf("got %v, want ErrCorrupt from the bundle stream", err)
+			}
+			if grew > 1<<20 || (tc.claim >= overRatio && grew >= uint64(tc.claim)) {
+				t.Fatalf("a trailer claiming %d bytes made the load allocate %d", tc.claim, grew)
 			}
 		})
 	}

@@ -20,14 +20,13 @@ func (o *Output) SaveBundleFile(path string) error {
 	})
 }
 
-// LoadBundleFile opens path and loads it with LoadBundle.
+// LoadBundleFile reads path whole and loads it like LoadBundle.
 func LoadBundleFile(path string) (*Output, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: opening bundle file: %w", err)
 	}
-	defer f.Close()
-	out, err := LoadBundle(f)
+	out, err := loadBundle(b)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -124,12 +124,11 @@ func LoadCheckpointFile(dir string) (*core.Snapshot, error) {
 // agree the chain was clean.
 func LoadCheckpointWithHealth(dir string) (*core.Snapshot, CheckpointHealth, error) {
 	path := filepath.Join(dir, CheckpointFile)
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, CheckpointHealth{}, fmt.Errorf("pipeline: opening checkpoint: %w", err)
 	}
-	defer f.Close()
-	sn, h, err := readCheckpoint(f)
+	sn, h, err := readCheckpoint(bytes.NewReader(b))
 	if err != nil {
 		return nil, h, fmt.Errorf("%s: %w", path, err)
 	}
@@ -139,13 +138,6 @@ func LoadCheckpointWithHealth(dir string) (*core.Snapshot, CheckpointHealth, err
 // readCheckpoint parses a checkpoint container stream.
 func readCheckpoint(r io.Reader) (*core.Snapshot, CheckpointHealth, error) {
 	var health CheckpointHealth
-	var magic [len(containerMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, health, fmt.Errorf("pipeline: checkpoint magic missing: %w: %w", ErrCorrupt, err)
-	}
-	if string(magic[:]) != containerMagic {
-		return nil, health, fmt.Errorf("pipeline: not a checkpoint container: %w", ErrCorrupt)
-	}
 	payload, hdr, err := readContainer(r, kindCheckpoint)
 	if err != nil {
 		return nil, health, err

@@ -36,7 +36,6 @@ const (
 	containerMagic    = "RHEODUR1"
 	containerFormat   = 2
 	maxHeaderLen      = 1 << 16 // a header is a few hundred bytes; anything huge is garbage
-	maxPayloadLen     = 1 << 31 // 2 GiB; beyond this the length field itself is suspect
 	kindBundle        = "bundle"
 	kindCheckpoint    = "checkpoint"
 	kindShardStats    = "shardstats"
@@ -112,69 +111,93 @@ func writeContainer(w io.Writer, kind string, schema int, payload []byte, health
 // extraction must stay cheap enough to run on every registry publish
 // and fetch. Use LoadBundle for full validation.
 func BundleDigest(b []byte) (string, error) {
-	_, hdr, err := readBundleContainer(bytes.NewReader(b))
+	_, hdr, err := parseContainer(b, kindBundle)
 	if err != nil {
 		return "", err
 	}
 	return hdr.SHA256, nil
 }
 
-// readBundleContainer reads a whole bundle container from r — magic,
-// then the envelope readContainer verifies — and returns its payload
-// and header.
-func readBundleContainer(r io.Reader) ([]byte, containerHeader, error) {
-	var magic [len(containerMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, containerHeader{}, fmt.Errorf("pipeline: bundle magic missing: %w: %w", ErrCorrupt, err)
+// readContainer reads all of r and parses it with parseContainer.
+func readContainer(r io.Reader, kind string) ([]byte, containerHeader, error) {
+	b, err := readSource(r)
+	if err != nil {
+		return nil, containerHeader{}, err
 	}
-	if string(magic[:]) != containerMagic {
-		return nil, containerHeader{}, fmt.Errorf("pipeline: not a bundle container: %w", ErrCorrupt)
-	}
-	return readContainer(r, kindBundle)
+	return parseContainer(b, kind)
 }
 
-// readContainer parses a format-2 envelope whose magic has already
-// been consumed by the caller, verifies the digest, and returns the
-// payload with the full header (schema version, health digest).
-func readContainer(r io.Reader, wantKind string) ([]byte, containerHeader, error) {
-	var hdr containerHeader
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, hdr, fmt.Errorf("pipeline: container header length missing: %w: %w", ErrCorrupt, err)
+// readSource reads r to EOF. A reader that knows how many bytes it
+// holds (*bytes.Reader, *bytes.Buffer, *strings.Reader) is read into
+// one buffer of exactly that size; any other grows with what it
+// yields. Either way no header claim sizes the allocation.
+func readSource(r io.Reader) ([]byte, error) {
+	var (
+		b   []byte
+		err error
+	)
+	if l, ok := r.(interface{ Len() int }); ok {
+		b = make([]byte, l.Len())
+		_, err = io.ReadFull(r, b)
+	} else {
+		b, err = io.ReadAll(r)
 	}
-	hdrLen := binary.BigEndian.Uint32(lenBuf[:])
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: reading container: %w: %w", ErrCorrupt, err)
+	}
+	return b, nil
+}
+
+// parseContainer parses b as exactly one container of the wanted kind
+// — magic, then the format-2 envelope — verifies the digest, and
+// returns the payload (a sub-slice of b) with the full header (schema
+// version, health digest). Every length is checked against the bytes
+// b holds before it is trusted.
+func parseContainer(b []byte, kind string) ([]byte, containerHeader, error) {
+	var hdr containerHeader
+	if len(b) < len(containerMagic) {
+		return nil, hdr, fmt.Errorf("pipeline: %s magic missing: %w: %w", kind, ErrCorrupt, io.ErrUnexpectedEOF)
+	}
+	if string(b[:len(containerMagic)]) != containerMagic {
+		return nil, hdr, fmt.Errorf("pipeline: not a %s container: %w", kind, ErrCorrupt)
+	}
+	b = b[len(containerMagic):]
+	if len(b) < 4 {
+		return nil, hdr, fmt.Errorf("pipeline: container header length missing: %w: %w", ErrCorrupt, io.ErrUnexpectedEOF)
+	}
+	hdrLen := binary.BigEndian.Uint32(b)
+	b = b[4:]
 	if hdrLen == 0 || hdrLen > maxHeaderLen {
 		return nil, hdr, fmt.Errorf("pipeline: container header length %d implausible: %w", hdrLen, ErrCorrupt)
 	}
-	hdrBytes := make([]byte, hdrLen)
-	if _, err := io.ReadFull(r, hdrBytes); err != nil {
-		return nil, hdr, fmt.Errorf("pipeline: container header truncated: %w: %w", ErrCorrupt, err)
+	if int(hdrLen) > len(b) {
+		return nil, hdr, fmt.Errorf("pipeline: container header truncated: %w: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 	}
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
+	if err := json.Unmarshal(b[:hdrLen], &hdr); err != nil {
 		return nil, hdr, fmt.Errorf("pipeline: container header unparseable: %w: %w", ErrCorrupt, err)
 	}
+	b = b[hdrLen:]
 	if hdr.Format != containerFormat {
 		return nil, hdr, fmt.Errorf("pipeline: container format %d, this build reads %d: %w",
 			hdr.Format, containerFormat, ErrVersion)
 	}
-	if hdr.Kind != wantKind {
-		return nil, hdr, fmt.Errorf("pipeline: container holds a %q, want a %q: %w", hdr.Kind, wantKind, ErrKind)
+	if hdr.Kind != kind {
+		return nil, hdr, fmt.Errorf("pipeline: container holds a %q, want a %q: %w", hdr.Kind, kind, ErrKind)
 	}
-	if hdr.PayloadLen < 0 || hdr.PayloadLen > maxPayloadLen {
+	if hdr.PayloadLen < 0 {
 		return nil, hdr, fmt.Errorf("pipeline: payload length %d implausible: %w", hdr.PayloadLen, ErrCorrupt)
 	}
-	payload := make([]byte, hdr.PayloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, hdr, fmt.Errorf("pipeline: payload truncated: %w: %w", ErrCorrupt, err)
+	if hdr.PayloadLen > int64(len(b)) {
+		return nil, hdr, fmt.Errorf("pipeline: payload truncated: %d of %d bytes: %w: %w",
+			len(b), hdr.PayloadLen, ErrCorrupt, io.ErrUnexpectedEOF)
 	}
 	// A container is exactly one envelope; bytes past the declared
 	// payload mean the file was overwritten, concatenated, or the
 	// header lies — none of which should load silently.
-	var trailer [1]byte
-	if n, _ := io.ReadFull(r, trailer[:]); n != 0 {
-		return nil, hdr, fmt.Errorf("pipeline: %d+ trailing bytes after payload: %w", n, ErrCorrupt)
+	if extra := int64(len(b)) - hdr.PayloadLen; extra != 0 {
+		return nil, hdr, fmt.Errorf("pipeline: %d trailing bytes after payload: %w", extra, ErrCorrupt)
 	}
-	digest := sha256.Sum256(payload)
+	digest := sha256.Sum256(b)
 	want, err := hex.DecodeString(hdr.SHA256)
 	if err != nil || len(want) != sha256.Size {
 		return nil, hdr, fmt.Errorf("pipeline: container digest unparseable: %w", ErrCorrupt)
@@ -182,5 +205,5 @@ func readContainer(r io.Reader, wantKind string) ([]byte, containerHeader, error
 	if !bytes.Equal(digest[:], want) {
 		return nil, hdr, fmt.Errorf("pipeline: payload digest mismatch (bit flip or torn write): %w", ErrCorrupt)
 	}
-	return payload, hdr, nil
+	return b, hdr, nil
 }

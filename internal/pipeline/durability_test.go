@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -248,6 +249,75 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hugeClaim is a truncated container of kind whose header claims a
+// 2 GiB payload but which holds only six payload bytes: 94 bytes in all
+// for a bundle.
+func hugeClaim(t testing.TB, kind string) []byte {
+	t.Helper()
+	hdr, err := json.Marshal(containerHeader{Format: containerFormat, Kind: kind, Schema: 1, PayloadLen: 1 << 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := binary.BigEndian.AppendUint32([]byte(containerMagic), uint32(len(hdr)))
+	b = append(b, hdr...)
+	return append(b, 0x1f, 0x8b, 8, 0, 0, 0) // the start of a gzip header
+}
+
+// TestHugePayloadClaimAllocatesNothing: a header's payload length is a
+// claim, not a size; a truncated container claiming 2 GiB must be
+// rejected by every reader without allocating for the claim.
+func TestHugePayloadClaimAllocatesNothing(t *testing.T) {
+	bundle := hugeClaim(t, kindBundle)
+	checkpoint := hugeClaim(t, kindCheckpoint)
+	for _, tc := range []struct {
+		name string
+		load func() error
+	}{
+		{"LoadBundle", func() error { _, err := LoadBundle(bytes.NewReader(bundle)); return err }},
+		{"BundleDigest", func() error { _, err := BundleDigest(bundle); return err }},
+		{"readCheckpoint", func() error { _, _, err := readCheckpoint(bytes.NewReader(checkpoint)); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			grew := allocated(func() { err = tc.load() })
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+			if grew > 1<<20 {
+				t.Fatalf("rejecting a 2 GiB claim allocated %d bytes", grew)
+			}
+		})
+	}
+}
+
+// TestLoadBundleAllocBudget: loading the paper-scale bundle allocates
+// at most 4× its raw payload — the inflate buffer once, the decoded
+// columns once, and the fold-in kernel — not a buffer grown by
+// doubling.
+func TestLoadBundleAllocBudget(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Model.Iterations = 20 // the bundle's shape comes from the corpus, not the chain length
+	out := runTestPipeline(t, opts)
+	var buf bytes.Buffer
+	if err := out.SaveBundle(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := rawBundlePayload(t, out)
+	if _, err := LoadBundle(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	grew := allocated(func() { _, err = LoadBundle(bytes.NewReader(buf.Bytes())) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := 4 * uint64(len(raw)); grew > limit {
+		t.Fatalf("loading a %d-byte raw payload allocated %d bytes (%.1f×), limit %d",
+			len(raw), grew, float64(grew)/float64(len(raw)), limit)
+	}
+	t.Logf("raw payload %d bytes, load allocated %d (%.1f×)", len(raw), grew, float64(grew)/float64(len(raw)))
 }
 
 // TestLoadBundleFutureSchemaInV1Body: a schema-1 container whose JSON

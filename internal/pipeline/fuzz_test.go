@@ -14,11 +14,14 @@ import (
 )
 
 // FuzzLoadBundle drives arbitrary bytes through the bundle loader. The
-// invariant under fuzzing: LoadBundle never panics, and every rejection
+// invariants under fuzzing: LoadBundle never panics; every rejection
 // wraps one of the typed sentinels so callers can always classify the
-// failure. Seeds cover both payload schemas plus the interesting
-// damage shapes so the fuzzer starts at the format boundaries instead
-// of rediscovering them.
+// failure; and allocation stays within deflate's maximum expansion of
+// the input, because no length the input claims — container payload
+// or gzip trailer — sizes an allocation past what the bytes can hold.
+// Seeds cover both payload schemas plus the interesting damage shapes
+// so the fuzzer starts at the format boundaries instead of
+// rediscovering them.
 func FuzzLoadBundle(f *testing.F) {
 	v2 := validBundleV2(f)
 	s1 := schema1Bundle(f, tinyOutput())
@@ -32,9 +35,15 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, 64))             // zeros
 	f.Add([]byte(`{"version":1,"docs":[]}`))       // naked JSON, no gzip
 	f.Add(append(append([]byte(nil), v2...), '!')) // trailing byte
+	f.Add(hugeClaim(f, kindBundle))                // 94 bytes claiming a 2 GiB payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := LoadBundle(bytes.NewReader(data))
+		var out *Output
+		var err error
+		grew := allocated(func() { out, err = LoadBundle(bytes.NewReader(data)) })
+		if limit := maxDeflateRatio*uint64(len(data)) + 1<<20; grew > limit {
+			t.Fatalf("loading %d bytes allocated %d (limit %d)", len(data), grew, limit)
+		}
 		if err == nil {
 			if out == nil || out.Model == nil {
 				t.Fatal("nil output without error")

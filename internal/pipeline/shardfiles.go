@@ -170,12 +170,11 @@ func SaveShardManifest(dir string, m *ShardManifest) error {
 // signal; damaged files return wrapped ErrCorrupt/ErrVersion/ErrKind.
 func LoadShardManifest(dir string) (*ShardManifest, error) {
 	path := filepath.Join(dir, ShardManifestFile)
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: opening shard manifest: %w", err)
 	}
-	defer f.Close()
-	m, err := readShardManifest(f)
+	m, err := readShardManifest(bytes.NewReader(b))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -184,13 +183,6 @@ func LoadShardManifest(dir string) (*ShardManifest, error) {
 
 // readShardManifest parses a shard-manifest container stream.
 func readShardManifest(r io.Reader) (*ShardManifest, error) {
-	var magic [len(containerMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("pipeline: shard manifest magic missing: %w: %w", ErrCorrupt, err)
-	}
-	if string(magic[:]) != containerMagic {
-		return nil, fmt.Errorf("pipeline: not a shard manifest container: %w", ErrCorrupt)
-	}
 	payload, hdr, err := readContainer(r, kindShardManifest)
 	if err != nil {
 		return nil, err
@@ -293,19 +285,11 @@ func payloadDigestHex(payload []byte) string {
 // as data.
 func LoadShardStatsFile(dir, name, wantDigest string, gelPrior, emuPrior *stats.NormalWishart) (*core.ShardStats, error) {
 	path := filepath.Join(dir, name)
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: opening shard stats: %w", err)
 	}
-	defer f.Close()
-	var magic [len(containerMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("%s: shard stats magic missing: %w: %w", path, ErrCorrupt, err)
-	}
-	if string(magic[:]) != containerMagic {
-		return nil, fmt.Errorf("%s: not a shard stats container: %w", path, ErrCorrupt)
-	}
-	payload, hdr, err := readContainer(f, kindShardStats)
+	payload, hdr, err := parseContainer(b, kindShardStats)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
