@@ -17,7 +17,7 @@ GO ?= go
 # ns/op.
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 3
-BENCH_PATTERN := BenchmarkServeAnnotate|BenchmarkServeAnnotateBatch|BenchmarkFoldInPlacement|BenchmarkFoldInSteadyState|BenchmarkGibbsSweep|BenchmarkBundleSave|BenchmarkBundleLoad|BenchmarkSupervisedFit|BenchmarkUnsupervisedFit|BenchmarkShardedFit|BenchmarkIngestAck|BenchmarkServeAnnotateFreshRecipe
+BENCH_PATTERN := BenchmarkServeAnnotate|BenchmarkServeAnnotateBatch|BenchmarkFoldInPlacement|BenchmarkFoldInSteadyState|BenchmarkGibbsSweep|BenchmarkBundleSave|BenchmarkBundleLoad|BenchmarkModelLoad|BenchmarkSupervisedFit|BenchmarkUnsupervisedFit|BenchmarkShardedFit|BenchmarkIngestAck|BenchmarkServeAnnotateFreshRecipe
 
 .PHONY: build test verify smoke bench-serve bench bench-compare bench-all bench-e2e profile fuzz-smoke pgo pgo-check
 
@@ -133,6 +133,7 @@ profile:
 # parser. Run before cutting a release; CI-friendly wall time.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadBundle -fuzztime 10s ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz FuzzLoadModel -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzBundlePayload -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzShardManifest -fuzztime 10s ./internal/pipeline

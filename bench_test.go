@@ -1356,7 +1356,7 @@ func BenchmarkShardedFit(b *testing.B) {
 
 // BenchmarkBundleLoad measures bundle deserialization with full
 // integrity verification (SHA-256 + gzip CRC + schema checks) — the
-// startup cost of a -bundle boot and of every live reload.
+// cost of loading a bundle for reporting (texturetopics, report).
 func BenchmarkBundleLoad(b *testing.B) {
 	out := fixture(b)
 	var buf bytes.Buffer
@@ -1367,6 +1367,26 @@ func BenchmarkBundleLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipeline.LoadBundle(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data)), "bundle_bytes")
+}
+
+// BenchmarkModelLoad measures what a server does with a bundle: the
+// same container and SHA-256 checks as BundleLoad, then only the model
+// part inflated and decoded and the fold-in kernel built — the startup
+// cost of a -bundle or -store boot and of every live swap.
+func BenchmarkModelLoad(b *testing.B) {
+	out := fixture(b)
+	var buf bytes.Buffer
+	if err := out.SaveBundle(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipeline.LoadModel(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

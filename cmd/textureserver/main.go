@@ -18,7 +18,10 @@
 // POST /admin/reload), a model -store published to by texturetopics
 // (the replica follows the registry's promoted generation, hot-swapping
 // new rollouts and degrading gracefully when the store is unreachable),
-// or a startup fit (-scale/-iters). A startup fit with -checkpoint-dir
+// or a startup fit (-scale/-iters). A bundle, from a file or the
+// registry, is loaded with pipeline.LoadModel: only the model part a
+// server reads is inflated, never the fit record behind it. A startup
+// fit with -checkpoint-dir
 // writes crash-safe checkpoints; with -resume it continues a
 // half-finished fit instead of starting over.
 //
@@ -147,7 +150,7 @@ func main() {
 		// POST /admin/reload both re-read the bundle and swap it in
 		// without dropping traffic.
 		opts.Reload = func(context.Context) (*pipeline.Output, error) {
-			return pipeline.LoadBundleFile(*bundlePath)
+			return pipeline.LoadModelFile(*bundlePath)
 		}
 	}
 
@@ -212,7 +215,7 @@ func main() {
 			var err error
 			if *bundlePath != "" {
 				logger.Info("loading bundle", "path", *bundlePath)
-				out, err = pipeline.LoadBundleFile(*bundlePath)
+				out, err = pipeline.LoadModelFile(*bundlePath)
 			} else {
 				logger.Info("fitting topic model", "scale", *scale, "sweeps", *iters,
 					"checkpoint_dir", *ckDir, "resume", *resume)
@@ -241,7 +244,7 @@ func main() {
 			}
 			logger.Info("model ready",
 				"elapsed", time.Since(start).Round(time.Millisecond).String(),
-				"recipes", len(out.Docs), "topics", out.Model.K)
+				"recipes", out.Recipes(), "topics", out.Model.K)
 		}()
 	}
 

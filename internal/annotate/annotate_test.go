@@ -1,8 +1,14 @@
 package annotate
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -238,5 +244,49 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(&pipeline.Output{}); err == nil {
 		t.Error("unfitted output should fail")
+	}
+}
+
+// TestModelLoadAnnotatesLikeFullLoad: annotators built on a bundle's
+// LoadModel and LoadBundle results return byte-identical responses:
+// the model part is everything annotation reads.
+func TestModelLoadAnnotatesLikeFullLoad(t *testing.T) {
+	out := fixture(t)
+	b, _, err := out.EncodeBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	responses := func(load func(io.Reader) (*pipeline.Output, error)) string {
+		t.Helper()
+		loaded, err := load(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := New(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		enc := json.NewEncoder(h)
+		served := 0
+		for _, r := range out.Kept[:200] {
+			card, err := a.Annotate(context.Background(), r)
+			if err != nil {
+				fmt.Fprintf(h, "error %v\n", err)
+				continue
+			}
+			if err := enc.Encode(card.Wire()); err != nil {
+				t.Fatal(err)
+			}
+			served++
+		}
+		if served == 0 {
+			t.Fatal("no recipe annotated")
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	full, model := responses(pipeline.LoadBundle), responses(pipeline.LoadModel)
+	if full != model {
+		t.Fatalf("response hash: full load %s, model load %s", full, model)
 	}
 }

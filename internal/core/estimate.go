@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/stats"
@@ -36,6 +37,11 @@ type Result struct {
 	EmulsionWeight float64
 
 	LogLik []float64 // per-sweep joint log-likelihood trace
+
+	// TopicDocs holds the per-topic recipe counts of a model loaded
+	// without its fit record (θ and Y), which DocsPerTopic reports in
+	// place of counting θ. Nil for a fitted or fully loaded model.
+	TopicDocs []int
 
 	// FoldInHook, when non-nil, receives one FoldInStats per FoldInCtx
 	// chain (completed or canceled). Install it before sharing the
@@ -155,13 +161,26 @@ func (r *Result) Assign() []int {
 	return out
 }
 
-// DocsPerTopic counts recipes per topic under Assign.
+// DocsPerTopic counts recipes per topic under Assign, or returns a
+// copy of TopicDocs for a model-only Result. A recipe whose arg-max is
+// no topic (θ wider than K, in a malformed model) is not counted.
 func (r *Result) DocsPerTopic() []int {
-	counts := make([]int, r.K)
-	for _, k := range r.Assign() {
-		counts[k]++
+	if r.ModelOnly() {
+		return slices.Clone(r.TopicDocs)
+	}
+	counts := make([]int, max(r.K, 0))
+	for _, row := range r.Theta {
+		if k := stats.ArgMax(row); k < len(counts) {
+			counts[k]++
+		}
 	}
 	return counts
+}
+
+// ModelOnly reports whether r was loaded without its fit record: it
+// has no θ, and TopicDocs holds its per-topic recipe counts.
+func (r *Result) ModelOnly() bool {
+	return r.Theta == nil && r.TopicDocs != nil
 }
 
 // TermProb pairs a vocabulary index with its probability in a topic.
@@ -194,7 +213,7 @@ func (r *Result) ShallowClone() *Result {
 		K: r.K, V: r.V, Phi: r.Phi, Theta: r.Theta, Y: r.Y, Gel: r.Gel, Emu: r.Emu,
 		Alpha: r.Alpha, Gamma: r.Gamma,
 		UseEmulsion: r.UseEmulsion, EmulsionWeight: r.EmulsionWeight,
-		LogLik: r.LogLik,
+		LogLik: r.LogLik, TopicDocs: r.TopicDocs,
 	}
 }
 

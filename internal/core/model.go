@@ -93,7 +93,7 @@ type Config struct {
 	EmuPrior *stats.NormalWishart // NW(m₀ᵉ, βᵉ, νᵉ, Sᵉ)
 
 	Iterations int // Gibbs sweeps
-	BurnIn     int // sweeps before log-likelihood-best state tracking
+	BurnIn     int // sweeps before LearnAlpha starts re-estimating α
 
 	// UseEmulsion includes the emulsion likelihood in the y kernel
 	// (equation (3)). The paper's generative model includes it; turning

@@ -10,10 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-// logFloat is math.Log, named so the parallel kernel reads like the
-// sequential one.
-func logFloat(x float64) float64 { return math.Log(x) }
-
 // makeCountTable returns an r×c integer table whose rows slice one flat
 // backing array, so walking consecutive rows touches contiguous memory.
 func makeCountTable(r, c int) [][]int {

@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -15,8 +17,12 @@ import (
 // expMask selects a float64's exponent bits: all ones is NaN or ±Inf.
 const expMask = 0x7ff << 52
 
-// writeBundlePayload writes the schema-2 bundle payload: the fitted
-// state as binary columns, which the container gzip-compresses.
+// writeBundlePayload writes the schema-3 bundle payload: the fitted
+// state as binary columns, which the container gzip-compresses. The
+// payload is model-first. It opens with the model part, everything a
+// server reads to serve, behind its byte length; the fit record (docs,
+// θ and Y) follows. A server inflates the model part and stops; only a
+// full load reads on.
 //
 // Unsigned integers and lengths are uvarints; signed integers (term
 // IDs, Y, and Truth, which is −1 when unknown) are zigzag varints;
@@ -26,122 +32,61 @@ const expMask = 0x7ff << 52
 // as n+1, and 0 means nil, so a load returns what the schema-1 JSON
 // decode of the same state returns (null there, nil here).
 //
-//	counts    F, I: the number of floats and ints in all slices below
-//	model     K, V, α, γ, use_emulsion (one byte, 0 or 1), emulsion_weight
-//	docs      D?; D ID lengths, then the IDs' bytes back to back;
-//	          D term counts?, then every term ID;
-//	          D gel dims?, then every gel float;
-//	          D emulsion dims?, then every emulsion float;
-//	          D truths
-//	excluded  n, then n keys in increasing order, each followed by m?
-//	          and m strings
-//	phi       K×V floats, row-major
-//	theta     R?, then R×K floats, row-major
-//	y         n?, then n ints
-//	gel       per topic: dim, precision rows, precision cols, dim mean
-//	          floats, rows×cols precision floats (row-major)
-//	emu       per topic, as gel
-//	loglik    n?, then n floats
+//	model length  the model part's byte length
+//	model part
+//	  counts      F, I: the number of floats and ints in the part's slices
+//	  model       K, V, α, γ, use_emulsion (one byte, 0 or 1), emulsion_weight
+//	  excluded    n, then n keys in increasing order, each followed by m?
+//	              and m strings
+//	  phi         K×V floats, row-major
+//	  gel         per topic: dim, precision rows, precision cols, dim mean
+//	              floats, rows×cols precision floats (row-major)
+//	  emu         per topic, as gel
+//	  topic docs  K uvarints: the recipes per topic under θ's arg-max
+//	  loglik      n?, then n floats
+//	fit part
+//	  counts      F, I, as above
+//	  docs        D?; D ID lengths, then the IDs' bytes back to back;
+//	              D term counts?, then every term ID;
+//	              D gel dims?, then every gel float;
+//	              D emulsion dims?, then every emulsion float;
+//	              D truths
+//	  theta       R?, then R×K floats, row-major
+//	  y           n?, then n ints
 //
-// Nothing follows loglik. The decoder allocates one float arena of F
-// and one int arena of I, after checking the payload can hold them,
-// and carves every slice out of them.
+// Nothing follows y. For each part the decoder allocates one float
+// arena of F and one int arena of I, after checking the part can hold
+// them, and carves every slice out of them. A full load checks the
+// topic docs against θ.
 //
 // A NaN or ±Inf anywhere is an error, as it was for the JSON encoder.
 // Shapes are not checked here: a malformed model encodes, and the
 // loader rejects it, as it did for schema 1.
 func writeBundlePayload(w *bufio.Writer, docs []recipe.Doc, excluded map[string][]string, m *core.Result) error {
-	e := &payloadEncoder{w: w, section: "counts"}
-	floats, ints := payloadCounts(docs, m)
-	e.uvarint(floats)
-	e.uvarint(ints)
+	// The length goes first, so the model part is encoded aside.
+	var part bytes.Buffer
+	pw := bufio.NewWriter(&part)
+	pe := &payloadEncoder{w: pw}
+	pe.modelPart(excluded, m)
+	if pe.err != nil {
+		return pe.err
+	}
+	pw.Flush() // into a bytes.Buffer: cannot fail
 
-	e.section = "model"
-	e.uvarint(m.K)
-	e.uvarint(m.V)
-	e.float(m.Alpha)
-	e.float(m.Gamma)
-	e.bool(m.UseEmulsion)
-	e.float(m.EmulsionWeight)
-
-	e.section = "docs"
-	optLen(e, docs)
-	for i := range docs {
-		e.uvarint(len(docs[i].RecipeID))
-	}
-	for i := range docs {
-		e.w.WriteString(docs[i].RecipeID)
-	}
-	for i := range docs {
-		optLen(e, docs[i].TermIDs)
-	}
-	for i := range docs {
-		e.ints(docs[i].TermIDs)
-	}
-	for i := range docs {
-		optLen(e, docs[i].Gel)
-	}
-	for i := range docs {
-		e.floats(docs[i].Gel)
-	}
-	for i := range docs {
-		optLen(e, docs[i].Emulsion)
-	}
-	for i := range docs {
-		e.floats(docs[i].Emulsion)
-	}
-	for i := range docs {
-		e.varint(docs[i].Truth)
-	}
-
-	e.section = "excluded"
-	keys := make([]string, 0, len(excluded))
-	for k := range excluded {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.uvarint(len(keys))
-	for _, k := range keys {
-		e.str(k)
-		optLen(e, excluded[k])
-		for _, v := range excluded[k] {
-			e.str(v)
-		}
-	}
-
-	e.section = "phi"
-	for _, row := range m.Phi {
-		e.floats(row)
-	}
-	e.section = "theta"
-	optLen(e, m.Theta)
-	for _, row := range m.Theta {
-		e.floats(row)
-	}
-	e.section = "y"
-	optLen(e, m.Y)
-	e.ints(m.Y)
-	e.section = "gel"
-	e.components(m.Gel)
-	e.section = "emu"
-	e.components(m.Emu)
-	e.section = "loglik"
-	optLen(e, m.LogLik)
-	e.floats(m.LogLik)
+	e := &payloadEncoder{w: w}
+	e.uvarint(part.Len())
+	w.Write(part.Bytes())
+	e.fitPart(docs, m)
 	return e.err
 }
 
-// payloadCounts totals the floats and ints writeBundlePayload writes
-// into slices: the decoder's arena sizes.
-func payloadCounts(docs []recipe.Doc, m *core.Result) (floats, ints int) {
-	for i := range docs {
-		floats += len(docs[i].Gel) + len(docs[i].Emulsion)
-		ints += len(docs[i].TermIDs)
-	}
-	for _, rows := range [][][]float64{m.Phi, m.Theta} {
-		for _, row := range rows {
-			floats += len(row)
-		}
+// modelPart writes the model part that writeBundlePayload describes.
+func (e *payloadEncoder) modelPart(excluded map[string][]string, m *core.Result) {
+	counts := m.DocsPerTopic()
+	e.section = "counts"
+	floats := len(m.LogLik)
+	for _, row := range m.Phi {
+		floats += len(row)
 	}
 	for _, cs := range [][]core.Component{m.Gel, m.Emu} {
 		for _, c := range cs {
@@ -151,7 +96,54 @@ func payloadCounts(docs []recipe.Doc, m *core.Result) (floats, ints int) {
 			}
 		}
 	}
-	return floats + len(m.LogLik), ints + len(m.Y)
+	e.uvarint(floats)
+	e.uvarint(len(counts))
+
+	e.section = "model"
+	e.scalars(m)
+	e.section = "excluded"
+	e.excluded(excluded)
+	e.section = "phi"
+	for _, row := range m.Phi {
+		e.floats(row)
+	}
+	e.section = "gel"
+	e.components(m.Gel)
+	e.section = "emu"
+	e.components(m.Emu)
+	e.section = "topic docs"
+	for _, n := range counts {
+		e.uvarint(n)
+	}
+	e.section = "loglik"
+	optLen(e, m.LogLik)
+	e.floats(m.LogLik)
+}
+
+// fitPart writes the fit record that writeBundlePayload describes.
+func (e *payloadEncoder) fitPart(docs []recipe.Doc, m *core.Result) {
+	e.section = "fit counts"
+	floats, ints := 0, len(m.Y)
+	for i := range docs {
+		floats += len(docs[i].Gel) + len(docs[i].Emulsion)
+		ints += len(docs[i].TermIDs)
+	}
+	for _, row := range m.Theta {
+		floats += len(row)
+	}
+	e.uvarint(floats)
+	e.uvarint(ints)
+
+	e.section = "docs"
+	e.docs(docs)
+	e.section = "theta"
+	optLen(e, m.Theta)
+	for _, row := range m.Theta {
+		e.floats(row)
+	}
+	e.section = "y"
+	optLen(e, m.Y)
+	e.ints(m.Y)
 }
 
 // payloadEncoder writes payload primitives. It keeps the first
@@ -220,6 +212,66 @@ func (e *payloadEncoder) components(cs []core.Component) {
 	}
 }
 
+// scalars writes K, V and the hyperparameters.
+func (e *payloadEncoder) scalars(m *core.Result) {
+	e.uvarint(m.K)
+	e.uvarint(m.V)
+	e.float(m.Alpha)
+	e.float(m.Gamma)
+	e.bool(m.UseEmulsion)
+	e.float(m.EmulsionWeight)
+}
+
+// docs writes the docs section, column by column.
+func (e *payloadEncoder) docs(docs []recipe.Doc) {
+	optLen(e, docs)
+	for i := range docs {
+		e.uvarint(len(docs[i].RecipeID))
+	}
+	for i := range docs {
+		e.w.WriteString(docs[i].RecipeID)
+	}
+	for i := range docs {
+		optLen(e, docs[i].TermIDs)
+	}
+	for i := range docs {
+		e.ints(docs[i].TermIDs)
+	}
+	for i := range docs {
+		optLen(e, docs[i].Gel)
+	}
+	for i := range docs {
+		e.floats(docs[i].Gel)
+	}
+	for i := range docs {
+		optLen(e, docs[i].Emulsion)
+	}
+	for i := range docs {
+		e.floats(docs[i].Emulsion)
+	}
+	for i := range docs {
+		e.varint(docs[i].Truth)
+	}
+}
+
+// excluded writes the excluded-terms section, keys sorted so the same
+// state always encodes to the same bytes.
+func (e *payloadEncoder) excluded(excluded map[string][]string) {
+	keys := make([]string, 0, len(excluded))
+	for k := range excluded {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	e.uvarint(len(keys))
+	for _, k := range keys {
+		e.str(k)
+		optLen(e, excluded[k])
+		for _, v := range excluded[k] {
+			e.str(v)
+		}
+	}
+}
+
 // optLen writes an "n?" length: len(s)+1, or 0 for a nil slice.
 func optLen[T any](e *payloadEncoder, s []T) {
 	if s == nil {
@@ -229,66 +281,93 @@ func optLen[T any](e *payloadEncoder, s []T) {
 	e.uvarint(len(s) + 1)
 }
 
-// decodeBundlePayload decodes a decompressed schema-2 payload (laid
-// out as writeBundlePayload describes) and makes the checks every
-// schema shares. Every error wraps ErrCorrupt. A length is checked
-// against the bytes left before anything is allocated for it, so
-// allocation stays proportional to the payload.
+// decodeBundlePayload decodes a decompressed schema-3 payload (laid
+// out as writeBundlePayload describes) in full and makes the checks
+// every schema shares, and one of its own: the stored topic docs must
+// be θ's. Every error wraps ErrCorrupt. A length is checked against
+// the bytes left before anything is allocated for it, so allocation
+// stays proportional to the payload.
 func decodeBundlePayload(raw []byte) (*Output, error) {
-	d := &payloadDecoder{buf: raw, section: "counts"}
-	nf := d.count(8)
-	ni := d.count(1)
-	if d.err != nil {
-		return nil, d.err
+	n, w := binary.Uvarint(raw)
+	if w <= 0 || n > uint64(len(raw)-w) {
+		return nil, fmt.Errorf("pipeline: bundle payload model length overruns the %d-byte payload: %w", len(raw), ErrCorrupt)
 	}
-	d.floats = make([]float64, nf)
-	d.ints = make([]int, ni)
+	m, excluded, counts, err := decodeModelPart(raw[w : w+int(n)])
+	if err != nil {
+		return nil, err
+	}
 
+	d := &payloadDecoder{buf: raw[w+int(n):], section: "fit counts"}
+	d.arenas()
+	d.section = "docs"
+	docs := d.docs()
+	d.section = "theta"
+	m.Theta = d.optMatrix(m.K)
+	d.section = "y"
+	m.Y = d.optInts()
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	if !slices.Equal(counts, m.DocsPerTopic()) {
+		return nil, fmt.Errorf("pipeline: bundle payload topic docs disagree with θ: %w", ErrCorrupt)
+	}
+	return finishBundle(docs, excluded, m)
+}
+
+// decodeModelPart decodes the model part of a schema-3 payload: the
+// model without θ and Y, the exclusions, and the per-topic recipe
+// counts. Every error wraps ErrCorrupt.
+func decodeModelPart(part []byte) (*core.Result, map[string][]string, []int, error) {
+	d := &payloadDecoder{buf: part, section: "counts"}
+	d.arenas()
 	d.section = "model"
-	m := &core.Result{}
-	m.K = d.count(1)
-	m.V = d.count(1)
-	m.Alpha = d.float()
-	m.Gamma = d.float()
-	m.UseEmulsion = d.bool()
-	m.EmulsionWeight = d.float()
-	if d.err == nil && m.K < 1 {
-		d.fail("K=%d", m.K)
+	m := d.scalars()
+	d.section = "excluded"
+	excluded := d.excluded()
+	d.section = "phi"
+	m.Phi = d.matrix(m.K, m.V)
+	d.section = "gel"
+	m.Gel = d.components(m.K)
+	d.section = "emu"
+	m.Emu = d.components(m.K)
+	d.section = "topic docs"
+	counts := d.topicDocs(m.K)
+	d.section = "loglik"
+	m.LogLik = d.optFloats()
+	if err := d.end(); err != nil {
+		return nil, nil, nil, err
 	}
+	return m, excluded, counts, nil
+}
 
+// decodeSchema2Payload decodes a decompressed schema-2 payload, which
+// older builds wrote: the same primitives and sections as schema 3,
+// in one part with one counts preamble, in the order counts, model,
+// docs, excluded, phi, theta, y, gel, emu, loglik, and without topic
+// docs. Every error wraps ErrCorrupt.
+func decodeSchema2Payload(raw []byte) (*Output, error) {
+	d := &payloadDecoder{buf: raw, section: "counts"}
+	d.arenas()
+	d.section = "model"
+	m := d.scalars()
 	d.section = "docs"
 	docs := d.docs()
 	d.section = "excluded"
 	excluded := d.excluded()
-
 	d.section = "phi"
 	m.Phi = d.matrix(m.K, m.V)
 	d.section = "theta"
-	if rows := d.optCount(1); rows >= 0 {
-		m.Theta = d.matrix(rows, m.K)
-	}
+	m.Theta = d.optMatrix(m.K)
 	d.section = "y"
-	if n := d.optCount(1); n >= 0 {
-		m.Y = d.intSlice(n)
-	}
+	m.Y = d.optInts()
 	d.section = "gel"
 	m.Gel = d.components(m.K)
 	d.section = "emu"
 	m.Emu = d.components(m.K)
 	d.section = "loglik"
-	if n := d.optCount(8); n >= 0 {
-		m.LogLik = d.floatSlice(n)
-	}
-
-	d.section = "end"
-	if d.err == nil && d.off != len(d.buf) {
-		d.fail("%d bytes after the last section", len(d.buf)-d.off)
-	}
-	if d.err == nil && (len(d.floats) != 0 || len(d.ints) != 0) {
-		d.fail("%d floats and %d ints counted but never used", len(d.floats), len(d.ints))
-	}
-	if d.err != nil {
-		return nil, d.err
+	m.LogLik = d.optFloats()
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return finishBundle(docs, excluded, m)
 }
@@ -303,6 +382,46 @@ type payloadDecoder struct {
 	err     error
 	floats  []float64 // the float arena's unused tail
 	ints    []int     // the int arena's unused tail
+}
+
+// arenas reads a counts preamble and allocates the float and int
+// arenas it declares.
+func (d *payloadDecoder) arenas() {
+	nf := d.count(8)
+	ni := d.count(1)
+	if d.err != nil {
+		return
+	}
+	d.floats = make([]float64, nf)
+	d.ints = make([]int, ni)
+}
+
+// end checks that the part was read exactly: no byte after its last
+// section and no counted float or int left unused.
+func (d *payloadDecoder) end() error {
+	d.section = "end"
+	if d.err == nil && d.off != len(d.buf) {
+		d.fail("%d bytes after the last section", len(d.buf)-d.off)
+	}
+	if d.err == nil && (len(d.floats) != 0 || len(d.ints) != 0) {
+		d.fail("%d floats and %d ints counted but never used", len(d.floats), len(d.ints))
+	}
+	return d.err
+}
+
+// scalars reads K, V and the hyperparameters.
+func (d *payloadDecoder) scalars() *core.Result {
+	m := &core.Result{}
+	m.K = d.count(1)
+	m.V = d.count(1)
+	m.Alpha = d.float()
+	m.Gamma = d.float()
+	m.UseEmulsion = d.bool()
+	m.EmulsionWeight = d.float()
+	if d.err == nil && m.K < 1 {
+		d.fail("K=%d", m.K)
+	}
+	return m
 }
 
 func (d *payloadDecoder) fail(format string, args ...any) {
@@ -455,6 +574,51 @@ func (d *payloadDecoder) intSlice(n int) []int {
 	d.ints = d.ints[n:]
 	for i := range out {
 		out[i] = d.varint()
+	}
+	return out
+}
+
+// optFloats reads an "n?" float slice.
+func (d *payloadDecoder) optFloats() []float64 {
+	if n := d.optCount(8); n >= 0 {
+		return d.floatSlice(n)
+	}
+	return nil
+}
+
+// optInts reads an "n?" int slice.
+func (d *payloadDecoder) optInts() []int {
+	if n := d.optCount(1); n >= 0 {
+		return d.intSlice(n)
+	}
+	return nil
+}
+
+// optMatrix reads an "R?" row count, then R×cols floats as row slices.
+func (d *payloadDecoder) optMatrix(cols int) [][]float64 {
+	if rows := d.optCount(1); rows >= 0 {
+		return d.matrix(rows, cols)
+	}
+	return nil
+}
+
+// topicDocs carves k per-topic recipe counts from the int arena.
+func (d *payloadDecoder) topicDocs(k int) []int {
+	if d.err != nil {
+		return nil
+	}
+	if k > len(d.ints) {
+		d.fail("%d counts overrun the counts", k)
+		return nil
+	}
+	out := d.ints[:k:k]
+	d.ints = d.ints[k:]
+	for i := range out {
+		v := d.uvarint()
+		if v > math.MaxInt32 {
+			d.fail("topic %d count %d implausible", i, v)
+		}
+		out[i] = int(v)
 	}
 	return out
 }

@@ -16,7 +16,7 @@ import (
 	"repro/internal/stats"
 )
 
-// rawBundlePayload returns o's schema-2 payload before compression.
+// rawBundlePayload returns o's schema-3 payload before compression.
 func rawBundlePayload(t testing.TB, o *Output) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -30,10 +30,113 @@ func rawBundlePayload(t testing.TB, o *Output) []byte {
 	return buf.Bytes()
 }
 
-// schema2Bundle compresses raw and wraps it in a schema-2 container
+// splicedPayload returns a schema-3 payload whose model part is
+// model's and whose fit record is fit's, as writeBundlePayload would
+// write each. A fit record that does not match the model part passes
+// LoadModel, which never reads it, and must fail LoadBundle.
+func splicedPayload(t testing.TB, model, fit *Output) []byte {
+	t.Helper()
+	var part bytes.Buffer
+	pw := bufio.NewWriter(&part)
+	pe := &payloadEncoder{w: pw}
+	pe.modelPart(model.ExcludedTerms, model.Model)
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	e := &payloadEncoder{w: bw}
+	if err := pw.Flush(); err != nil || pe.err != nil {
+		t.Fatal(err, pe.err)
+	}
+	e.uvarint(part.Len())
+	bw.Write(part.Bytes())
+	e.fitPart(fit.Docs, fit.Model)
+	if err := bw.Flush(); err != nil || e.err != nil {
+		t.Fatal(err, e.err)
+	}
+	return buf.Bytes()
+}
+
+// modelPartEnd returns the offset in a schema-3 payload where the fit
+// record starts.
+func modelPartEnd(t testing.TB, raw []byte) int {
+	t.Helper()
+	n, w := binary.Uvarint(raw)
+	if w <= 0 || w+int(n) > len(raw) {
+		t.Fatalf("payload has no model part: length %d, %d bytes", n, len(raw))
+	}
+	return w + int(n)
+}
+
+// writeSchema2Payload writes o as the schema-2 payload older builds
+// wrote: one part, the fit record before φ, and no topic docs.
+func writeSchema2Payload(w *bufio.Writer, o *Output) error {
+	m := o.Model
+	e := &payloadEncoder{w: w, section: "counts"}
+	floats, ints := len(m.LogLik), len(m.Y)
+	for i := range o.Docs {
+		floats += len(o.Docs[i].Gel) + len(o.Docs[i].Emulsion)
+		ints += len(o.Docs[i].TermIDs)
+	}
+	for _, rows := range [][][]float64{m.Phi, m.Theta} {
+		for _, row := range rows {
+			floats += len(row)
+		}
+	}
+	for _, cs := range [][]core.Component{m.Gel, m.Emu} {
+		for _, c := range cs {
+			floats += len(c.Mean)
+			if c.Precision != nil {
+				floats += len(c.Precision.Data)
+			}
+		}
+	}
+	e.uvarint(floats)
+	e.uvarint(ints)
+	e.section = "model"
+	e.scalars(m)
+	e.section = "docs"
+	e.docs(o.Docs)
+	e.section = "excluded"
+	e.excluded(o.ExcludedTerms)
+	e.section = "phi"
+	for _, row := range m.Phi {
+		e.floats(row)
+	}
+	e.section = "theta"
+	optLen(e, m.Theta)
+	for _, row := range m.Theta {
+		e.floats(row)
+	}
+	e.section = "y"
+	optLen(e, m.Y)
+	e.ints(m.Y)
+	e.section = "gel"
+	e.components(m.Gel)
+	e.section = "emu"
+	e.components(m.Emu)
+	e.section = "loglik"
+	optLen(e, m.LogLik)
+	e.floats(m.LogLik)
+	return e.err
+}
+
+// rawSchema2Payload returns o's schema-2 payload before compression.
+func rawSchema2Payload(t testing.TB, o *Output) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := writeSchema2Payload(bw, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wrapPayload compresses raw and wraps it in a container of schema
 // with a freshly computed digest, so damage inside raw passes the
 // container's checks and reaches the payload decoder.
-func schema2Bundle(t testing.TB, raw []byte) []byte {
+func wrapPayload(t testing.TB, schema int, raw []byte) []byte {
 	t.Helper()
 	var gzBuf bytes.Buffer
 	gz := gzip.NewWriter(&gzBuf)
@@ -44,10 +147,15 @@ func schema2Bundle(t testing.TB, raw []byte) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := writeContainer(&buf, kindBundle, bundleSchemaBinary, gzBuf.Bytes(), nil); err != nil {
+	if err := writeContainer(&buf, kindBundle, schema, gzBuf.Bytes(), nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// schema2Bundle returns o as the schema-2 container older builds wrote.
+func schema2Bundle(t testing.TB, o *Output) []byte {
+	return wrapPayload(t, bundleSchemaBinary, rawSchema2Payload(t, o))
 }
 
 // sameBits fails unless a and b hold bit-identical floats.
@@ -205,61 +313,110 @@ func TestSaveBundleRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestLoadBundleRejectsDamagedPayload: damage inside a schema-2
-// payload, re-digested so it reaches the decoder, is ErrCorrupt and
-// never a panic.
+// TestLoadBundleRejectsDamagedPayload: damage inside a schema-3 or
+// schema-2 payload, re-digested so it reaches the decoder, is
+// ErrCorrupt from LoadBundle and never a panic. LoadModel must reject
+// the same damage in a schema-3 model part, and load past damage in
+// the fit record, which it never reads; a schema-2 payload has no
+// model part of its own, so LoadModel rejects all its damage. The
+// schema-2 rows carry a "schema2-" prefix.
 func TestLoadBundleRejectsDamagedPayload(t *testing.T) {
-	raw := rawBundlePayload(t, tinyOutput())
-	spoiled := func(spoil func(*Output)) []byte {
-		o := tinyOutput()
-		spoil(o)
-		return rawBundlePayload(t, o)
+	type damage struct {
+		name    string
+		raw     []byte
+		fitOnly bool // schema 3 holds the damage in its fit record
 	}
-	// α (0.1) is the first float in the payload.
-	nanAlpha := append([]byte(nil), raw...)
-	alpha := bytes.Index(nanAlpha, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.1)))
-	binary.LittleEndian.PutUint64(nanAlpha[alpha:], math.Float64bits(math.NaN()))
-	// The encoder sorts exclusion keys, so forge a repeat of "a".
-	dupKey := bytes.Replace(spoiled(func(o *Output) {
-		o.ExcludedTerms = map[string][]string{"a": nil, "b": nil}
-	}), []byte{1, 'b'}, []byte{1, 'a'}, 1)
+	// damaged returns the damage shapes both schemas share, each
+	// encoded by encode.
+	damaged := func(encode func(testing.TB, *Output) []byte) []damage {
+		raw := encode(t, tinyOutput())
+		spoiled := func(spoil func(*Output)) []byte {
+			o := tinyOutput()
+			spoil(o)
+			return encode(t, o)
+		}
+		// α (0.1) is the first float in the payload.
+		nanAlpha := append([]byte(nil), raw...)
+		alpha := bytes.Index(nanAlpha, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.1)))
+		binary.LittleEndian.PutUint64(nanAlpha[alpha:], math.Float64bits(math.NaN()))
+		// The encoder sorts exclusion keys, so forge a repeat of "a".
+		dupKey := bytes.Replace(spoiled(func(o *Output) {
+			o.ExcludedTerms = map[string][]string{"a": nil, "b": nil}
+		}), []byte{1, 'b'}, []byte{1, 'a'}, 1)
+		return []damage{
+			{"empty", nil, false},
+			{"bytes-after-last-section", append(append([]byte(nil), raw...), 0), true},
+			{"docs-not-theta-rows", spoiled(func(o *Output) { o.Model.Theta = append(o.Model.Theta, []float64{0.5, 0.5}) }), true},
+			{"k-disagrees-with-phi", spoiled(func(o *Output) { o.Model.K = 3 }), false},
+			{"v-disagrees-with-phi", spoiled(func(o *Output) { o.Model.V = 4 }), false},
+			{"zero-k", spoiled(func(o *Output) { o.Model.K = 0 }), false},
+			{"ragged-precision", spoiled(func(o *Output) {
+				o.Model.Gel[0].Precision = &stats.Mat{R: 2, C: 2, Data: []float64{1, 0, 0}}
+			}), false},
+			{"non-square-precision", spoiled(func(o *Output) {
+				o.Model.Gel[1].Precision = &stats.Mat{R: 2, C: 3, Data: []float64{1, 0, 0, 0, 1, 0}}
+			}), false},
+			{"missing-precision", spoiled(func(o *Output) { o.Model.Emu[0].Precision = nil }), false},
+			{"mean-disagrees-with-precision", spoiled(func(o *Output) { o.Model.Emu[0].Mean = []float64{0, 1, 2} }), false},
+			{"indefinite-precision", spoiled(func(o *Output) {
+				o.Model.Gel[0].Precision = stats.MatFromRows([][]float64{{-1e300, 0}, {0, 1}})
+			}), false},
+			{"nan-float", nanAlpha, false},
+			{"duplicate-excluded-key", dupKey, false},
+		}
+	}
 
-	for _, tc := range []struct {
-		name string
-		raw  []byte
+	raw := rawBundlePayload(t, tinyOutput())
+	_, prefix := binary.Uvarint(raw)
+	fitStart := modelPartEnd(t, raw)
+	// The model part of a state whose one recipe is in topic 1, before
+	// the fit record of tinyOutput, whose recipe is in topic 0.
+	flipped := tinyOutput()
+	flipped.Model.Theta = [][]float64{{0.3, 0.7}}
+	schema3 := append(damaged(rawBundlePayload),
+		damage{"cut-in-counts", raw[:prefix+1], false},
+		damage{"cut-in-docs", raw[:fitStart+4], true},
+		damage{"cut-in-loglik", raw[:fitStart-4], false},
+		damage{"cut-in-y", raw[:len(raw)-1], true},
+		damage{"topic-docs-disagree-with-theta", splicedPayload(t, flipped, tinyOutput()), true},
+	)
+	raw2 := rawSchema2Payload(t, tinyOutput())
+	schema2 := append(damaged(rawSchema2Payload),
+		damage{"cut-in-counts", raw2[:1], false},
+		damage{"cut-in-docs", raw2[:len(raw2)/3], false},
+		damage{"cut-in-loglik", raw2[:len(raw2)-4], false},
+	)
+
+	for _, sc := range []struct {
+		prefix string
+		schema int
+		rows   []damage
 	}{
-		{"empty", nil},
-		{"cut-in-counts", raw[:1]},
-		{"cut-in-docs", raw[:len(raw)/3]},
-		{"cut-in-loglik", raw[:len(raw)-4]},
-		{"bytes-after-last-section", append(append([]byte(nil), raw...), 0)},
-		{"docs-not-theta-rows", spoiled(func(o *Output) { o.Model.Theta = append(o.Model.Theta, []float64{0.5, 0.5}) })},
-		{"k-disagrees-with-phi", spoiled(func(o *Output) { o.Model.K = 3 })},
-		{"v-disagrees-with-phi", spoiled(func(o *Output) { o.Model.V = 4 })},
-		{"zero-k", spoiled(func(o *Output) { o.Model.K = 0 })},
-		{"ragged-precision", spoiled(func(o *Output) {
-			o.Model.Gel[0].Precision = &stats.Mat{R: 2, C: 2, Data: []float64{1, 0, 0}}
-		})},
-		{"non-square-precision", spoiled(func(o *Output) {
-			o.Model.Gel[1].Precision = &stats.Mat{R: 2, C: 3, Data: []float64{1, 0, 0, 0, 1, 0}}
-		})},
-		{"missing-precision", spoiled(func(o *Output) { o.Model.Emu[0].Precision = nil })},
-		{"mean-disagrees-with-precision", spoiled(func(o *Output) { o.Model.Emu[0].Mean = []float64{0, 1, 2} })},
-		{"indefinite-precision", spoiled(func(o *Output) {
-			o.Model.Gel[0].Precision = stats.MatFromRows([][]float64{{-1e300, 0}, {0, 1}})
-		})},
-		{"nan-float", nanAlpha},
-		{"duplicate-excluded-key", dupKey},
+		{"", bundleSchemaModelFirst, schema3},
+		{"schema2-", bundleSchemaBinary, schema2},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			out, err := LoadBundle(bytes.NewReader(schema2Bundle(t, tc.raw)))
-			if err == nil {
-				t.Fatalf("damaged payload loaded: %+v", out)
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("got %v, want ErrCorrupt", err)
-			}
-		})
+		for _, tc := range sc.rows {
+			modelLoad := tc.fitOnly && sc.schema == bundleSchemaModelFirst
+			t.Run(sc.prefix+tc.name, func(t *testing.T) {
+				bundle := wrapPayload(t, sc.schema, tc.raw)
+				out, err := LoadBundle(bytes.NewReader(bundle))
+				if err == nil {
+					t.Fatalf("damaged payload loaded: %+v", out)
+				}
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("got %v, want ErrCorrupt", err)
+				}
+				out, err = LoadModel(bytes.NewReader(bundle))
+				switch {
+				case modelLoad && err != nil:
+					t.Fatalf("damage behind the model part failed the model load: %v", err)
+				case modelLoad && (out.Model.K != 2 || len(out.Model.TopicDocs) != 2):
+					t.Fatalf("model load: K=%d, topic docs %v", out.Model.K, out.Model.TopicDocs)
+				case !modelLoad && !errors.Is(err, ErrCorrupt):
+					t.Fatalf("model load: got %v, want ErrCorrupt", err)
+				}
+			})
+		}
 	}
 }
 
@@ -276,6 +433,7 @@ func allocated(f func()) uint64 {
 // buffer from the gzip trailer's ISIZE field, so a trailer that lies —
 // re-digested so the lie reaches gunzip — must be ErrCorrupt, and a
 // claim past deflate's maximum ratio must allocate nothing for it.
+// The model loader bounds the model part by the same claim.
 func TestLoadBundleRejectsLyingGzipTrailer(t *testing.T) {
 	raw := rawBundlePayload(t, tinyOutput())
 	var gzBuf bytes.Buffer
@@ -302,7 +460,7 @@ func TestLoadBundleRejectsLyingGzipTrailer(t *testing.T) {
 			lying := append([]byte(nil), stream...)
 			binary.LittleEndian.PutUint32(lying[len(lying)-4:], tc.claim)
 			var buf bytes.Buffer
-			if err := writeContainer(&buf, kindBundle, bundleSchemaBinary, lying, nil); err != nil {
+			if err := writeContainer(&buf, kindBundle, bundleSchemaModelFirst, lying, nil); err != nil {
 				t.Fatal(err)
 			}
 			var err error
@@ -314,6 +472,15 @@ func TestLoadBundleRejectsLyingGzipTrailer(t *testing.T) {
 			}
 			if grew > 1<<20 || (tc.claim >= overRatio && grew >= uint64(tc.claim)) {
 				t.Fatalf("a trailer claiming %d bytes made the load allocate %d", tc.claim, grew)
+			}
+			// The model load stops before the trailer, so only a claim
+			// past the ratio is caught, but none sizes an allocation.
+			grew = allocated(func() { _, err = LoadModel(bytes.NewReader(buf.Bytes())) })
+			if (tc.claim >= overRatio) != errors.Is(err, ErrCorrupt) {
+				t.Fatalf("model load of a trailer claiming %d bytes: %v", tc.claim, err)
+			}
+			if grew > 1<<20 {
+				t.Fatalf("a trailer claiming %d bytes made the model load allocate %d", tc.claim, grew)
 			}
 		})
 	}

@@ -21,12 +21,18 @@ func (o *Output) SaveBundleFile(path string) error {
 }
 
 // LoadBundleFile reads path whole and loads it like LoadBundle.
-func LoadBundleFile(path string) (*Output, error) {
+func LoadBundleFile(path string) (*Output, error) { return loadFile(path, loadBundle) }
+
+// LoadModelFile reads path whole and loads it like LoadModel.
+func LoadModelFile(path string) (*Output, error) { return loadFile(path, loadModel) }
+
+// loadFile reads path whole and loads the container bytes with load.
+func loadFile(path string, load func([]byte) (*Output, error)) (*Output, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: opening bundle file: %w", err)
 	}
-	out, err := loadBundle(b)
+	out, err := load(b)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -6,7 +6,7 @@
 //	offset 0   magic "RHEODUR1" (8 bytes)
 //	offset 8   header length H, uint32 big-endian
 //	offset 12  header: H bytes of JSON
-//	           {"format":2,"kind":"bundle","schema":2,
+//	           {"format":2,"kind":"bundle","schema":3,
 //	            "payload_len":N,"sha256":"<hex digest>"}
 //	offset 12+H  payload: N bytes, gzip-compressed
 //	then EOF — trailing bytes are corruption, not slack.
@@ -16,9 +16,14 @@
 // gzip's CRC-32 window can miss; the kind field stops a checkpoint from
 // being loaded as a bundle; and the format version lets a future layout
 // be rejected cleanly instead of misparsed. The schema versions the
-// payload of each kind. A bundle payload is schema 2, binary columns
-// (bundlebin.go); schema 1, a JSON document, is still read but no
-// longer written. Checkpoints and shard files carry JSON.
+// payload of each kind. A bundle payload is schema 3, binary columns
+// (bundlebin.go) in two parts: first the model a server reads (K, V,
+// hyperparameters, exclusions, φ, the Gaussians, per-topic recipe
+// counts, the log-likelihood trace) behind its byte length, then the
+// fit record (docs, θ, Y), so a server inflates the first part and
+// stops (LoadModel). Schema 2, the same columns with the fit record
+// first, and schema 1, a JSON document, are still read but no longer
+// written. Checkpoints and shard files carry JSON.
 package pipeline
 
 import (

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -117,8 +118,8 @@ func validBundleV1(t testing.TB) []byte {
 }
 
 // TestLoadBundleReadsBothFormats: the current loader accepts its own
-// schema-2 output and schema-1 containers from older builds,
-// recovering identical state from each.
+// schema-3 output and schema-1 and schema-2 containers from older
+// builds, recovering identical state from each.
 func TestLoadBundleReadsBothFormats(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -126,6 +127,7 @@ func TestLoadBundleReadsBothFormats(t *testing.T) {
 	}{
 		{"v2-container", validBundleV2(t)},
 		{"schema1-container", schema1Bundle(t, tinyOutput())},
+		{"schema2-container", schema2Bundle(t, tinyOutput())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := LoadBundle(bytes.NewReader(tc.data))
@@ -154,8 +156,8 @@ func TestLoadBundleReadsBothFormats(t *testing.T) {
 }
 
 // TestLoadBundleRejectsDamage is the integrity acceptance table: every
-// damaged, foreign, or future input is rejected with the right typed
-// sentinel, never a panic and never a naked io error.
+// damaged, foreign, or future input is rejected by both loaders with
+// the right typed sentinel, never a panic and never a naked io error.
 func TestLoadBundleRejectsDamage(t *testing.T) {
 	v2 := validBundleV2(t)
 	v1 := validBundleV1(t)
@@ -236,16 +238,18 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := LoadBundle(bytes.NewReader(tc.data))
-			if err == nil {
-				t.Fatalf("damaged input loaded successfully: %+v", out)
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
-			}
-			// The raw cause must be wrapped, not returned bare.
-			if err.Error() == "unexpected EOF" || err.Error() == "EOF" {
-				t.Fatalf("naked io error leaked: %v", err)
+			for _, load := range []func(io.Reader) (*Output, error){LoadBundle, LoadModel} {
+				out, err := load(bytes.NewReader(tc.data))
+				if err == nil {
+					t.Fatalf("damaged input loaded successfully: %+v", out)
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
+				}
+				// The raw cause must be wrapped, not returned bare.
+				if err.Error() == "unexpected EOF" || err.Error() == "EOF" {
+					t.Fatalf("naked io error leaked: %v", err)
+				}
 			}
 		})
 	}
@@ -276,6 +280,7 @@ func TestHugePayloadClaimAllocatesNothing(t *testing.T) {
 		load func() error
 	}{
 		{"LoadBundle", func() error { _, err := LoadBundle(bytes.NewReader(bundle)); return err }},
+		{"LoadModel", func() error { _, err := LoadModel(bytes.NewReader(bundle)); return err }},
 		{"BundleDigest", func() error { _, err := BundleDigest(bundle); return err }},
 		{"readCheckpoint", func() error { _, _, err := readCheckpoint(bytes.NewReader(checkpoint)); return err }},
 	} {

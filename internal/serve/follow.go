@@ -10,8 +10,8 @@
 // degraded state with the last error and how stale the replica's view
 // is, and the registry_degraded gauge flips for alerting. Swap safety
 // is unchanged: a fetched bundle that fails digest verification,
-// decodes corrupt, or builds a degenerate kernel is refused and the
-// last-good model serves on.
+// whose model part decodes corrupt, or that builds a degenerate kernel
+// is refused and the last-good model serves on.
 package serve
 
 import (
@@ -186,7 +186,7 @@ func (f *Follower) Poll(ctx context.Context) error {
 		f.markDegraded(fmt.Errorf("fetching generation %d: %w", gen.ID, err))
 		return err
 	}
-	out, err := pipeline.LoadBundle(bytes.NewReader(b))
+	out, err := pipeline.LoadModel(bytes.NewReader(b))
 	if err != nil {
 		f.mFetchFails.Inc()
 		f.markDegraded(fmt.Errorf("decoding generation %d: %w", gen.ID, err))

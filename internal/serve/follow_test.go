@@ -350,3 +350,36 @@ func ctxServe(t *testing.T) context.Context {
 	t.Cleanup(cancel)
 	return ctx
 }
+
+// TestFollowerTopicsFromModelPart: a follower loads only a bundle's
+// model part, without docs or θ, and /topics still reports the fitted
+// model's recipes per topic, from the counts the model part carries.
+func TestFollowerTopicsFromModelPart(t *testing.T) {
+	ctx := ctxServe(t)
+	rig := newFollowerRig(t, quietOptions(), FollowOptions{Interval: time.Hour})
+	gen := publishFixture(t, rig.reg, "topics")
+	if err := rig.reg.Promote(ctx, gen.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.fol.Poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	rig.srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/topics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/topics: %d", rec.Code)
+	}
+	var topics []TopicInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &topics); err != nil {
+		t.Fatal(err)
+	}
+	want := fixtureOutput(t).Model.DocsPerTopic()
+	if len(topics) != len(want) {
+		t.Fatalf("%d topics, want %d", len(topics), len(want))
+	}
+	for k, info := range topics {
+		if info.Recipes != want[k] {
+			t.Fatalf("topic %d: %d recipes, fitted model has %d", k, info.Recipes, want[k])
+		}
+	}
+}

@@ -281,7 +281,7 @@ func (s *Server) install(out *pipeline.Output, pool chan *annotate.Annotator) {
 	s.mSwapTime.Set(float64(time.Now().UnixNano()) / 1e9)
 	s.ready.Store(true)
 	if gen > 1 {
-		s.logf("serve: model swapped in, generation %d (K=%d, %d docs)", gen, out.Model.K, len(out.Docs))
+		s.logf("serve: model swapped in, generation %d (K=%d, %d docs)", gen, out.Model.K, out.Recipes())
 	}
 }
 
@@ -310,7 +310,8 @@ func (s *Server) SetOutput(out *pipeline.Output) error {
 // there — the old pool drains naturally and is collected once the last
 // borrower lets go. No request is dropped or errored by a swap.
 //
-// Pass a freshly constructed Output (a new fit or LoadBundle result):
+// Pass a freshly constructed Output (a new fit, or a LoadModel or
+// LoadBundle result):
 // installing telemetry mutates out.Model, so re-swapping the object
 // that is currently serving would race with live fold-ins.
 func (s *Server) SwapOutput(out *pipeline.Output) error {
