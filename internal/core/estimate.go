@@ -138,19 +138,6 @@ func Fit(data *Data, cfg Config) (*Result, error) {
 	return s.Estimate(), nil
 }
 
-// meanTail averages the last half of a trace.
-func meanTail(trace []float64) float64 {
-	if len(trace) == 0 {
-		return 0
-	}
-	tail := trace[len(trace)/2:]
-	s := 0.0
-	for _, v := range tail {
-		s += v
-	}
-	return s / float64(len(tail))
-}
-
 // Assign returns the topic of each recipe by maximum θ probability —
 // the paper's rule for the "# Recipes" column of Table II(a).
 func (r *Result) Assign() []int {

@@ -235,3 +235,16 @@ func TestParallelMatchesSequentialQuality(t *testing.T) {
 		t.Errorf("parallel accuracy %.3f well below sequential %.3f", accPar, accSeq)
 	}
 }
+
+// meanTail averages the last half of a trace.
+func meanTail(trace []float64) float64 {
+	if len(trace) == 0 {
+		return 0
+	}
+	tail := trace[len(trace)/2:]
+	s := 0.0
+	for _, v := range tail {
+		s += v
+	}
+	return s / float64(len(tail))
+}

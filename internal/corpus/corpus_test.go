@@ -61,12 +61,6 @@ func TestSpecTableConsistency(t *testing.T) {
 	if n := TotalRecipes(); n < 2800 || n > 3200 {
 		t.Errorf("total recipes = %d, want ≈3000", n)
 	}
-	if _, ok := TopicByID(3); !ok {
-		t.Error("TopicByID(3) missing")
-	}
-	if _, ok := TopicByID(99); ok {
-		t.Error("TopicByID(99) unexpected hit")
-	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

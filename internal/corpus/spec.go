@@ -203,13 +203,3 @@ func TotalRecipes() int {
 	}
 	return n
 }
-
-// TopicByID returns the spec with the given ID.
-func TopicByID(id int) (TopicSpec, bool) {
-	for _, t := range Topics {
-		if t.ID == id {
-			return t, true
-		}
-	}
-	return TopicSpec{}, false
-}

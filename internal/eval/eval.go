@@ -8,7 +8,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Contingency is the co-occurrence table of predicted cluster ×
@@ -113,54 +112,6 @@ func (c *Contingency) VMeasure() float64 {
 		return 0
 	}
 	return 2 * homogeneity * completeness / (homogeneity + completeness)
-}
-
-// Coherence computes UMass topic coherence for one topic's top terms
-// over the document collection: Σ log (D(w_i, w_j)+1)/D(w_j) for term
-// pairs ordered by rank. Higher (closer to zero) is more coherent.
-func Coherence(topTerms []int, docs [][]int) float64 {
-	if len(topTerms) < 2 {
-		return 0
-	}
-	docFreq := make(map[int]int)
-	coFreq := make(map[[2]int]int)
-	want := make(map[int]bool, len(topTerms))
-	for _, t := range topTerms {
-		want[t] = true
-	}
-	for _, doc := range docs {
-		seen := make(map[int]bool)
-		for _, w := range doc {
-			if want[w] {
-				seen[w] = true
-			}
-		}
-		var present []int
-		for w := range seen {
-			present = append(present, w)
-		}
-		sort.Ints(present)
-		for _, w := range present {
-			docFreq[w]++
-		}
-		for i := 0; i < len(present); i++ {
-			for j := i + 1; j < len(present); j++ {
-				coFreq[[2]int{present[i], present[j]}]++
-				coFreq[[2]int{present[j], present[i]}]++
-			}
-		}
-	}
-	score := 0.0
-	for i := 1; i < len(topTerms); i++ {
-		for j := 0; j < i; j++ {
-			wi, wj := topTerms[i], topTerms[j]
-			if docFreq[wj] == 0 {
-				continue
-			}
-			score += math.Log(float64(coFreq[[2]int{wi, wj}]+1) / float64(docFreq[wj]))
-		}
-	}
-	return score
 }
 
 // Perplexity computes held-out word perplexity given per-document

@@ -71,22 +71,6 @@ func TestContingencyErrors(t *testing.T) {
 	}
 }
 
-func TestCoherenceOrdersTopics(t *testing.T) {
-	// Terms 0,1 always co-occur; terms 2,3 never do.
-	docs := [][]int{
-		{0, 1}, {0, 1}, {0, 1}, {0, 1},
-		{2}, {3}, {2}, {3},
-	}
-	coherent := Coherence([]int{0, 1}, docs)
-	incoherent := Coherence([]int{2, 3}, docs)
-	if coherent <= incoherent {
-		t.Errorf("coherent %g should exceed incoherent %g", coherent, incoherent)
-	}
-	if got := Coherence([]int{0}, docs); got != 0 {
-		t.Errorf("single-term coherence = %g", got)
-	}
-}
-
 func TestPerplexity(t *testing.T) {
 	// Uniform model over 4 words → perplexity 4.
 	docs := [][]int{{0, 1}, {2, 3}}

@@ -9,7 +9,6 @@ package linkage
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/lexicon"
@@ -159,15 +158,4 @@ func TopicMeanConcentrations(res *core.Result, k int, floor float64) map[int]flo
 func concFromFeature(f float64) float64 {
 	// Inverse of the −log transform.
 	return exp(-f)
-}
-
-// SortAssignmentsByTopic orders assignments by topic then measurement
-// ID, for table rendering.
-func SortAssignmentsByTopic(as []Assignment) {
-	sort.SliceStable(as, func(i, j int) bool {
-		if as[i].Topic != as[j].Topic {
-			return as[i].Topic < as[j].Topic
-		}
-		return as[i].Measurement.ID < as[j].Measurement.ID
-	})
 }

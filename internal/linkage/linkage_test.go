@@ -145,21 +145,6 @@ func TestTopicMeanConcentrations(t *testing.T) {
 	}
 }
 
-func TestSortAssignmentsByTopic(t *testing.T) {
-	as := []Assignment{
-		{Topic: 2, Measurement: rheology.TableI[0]},
-		{Topic: 0, Measurement: rheology.TableI[1]},
-		{Topic: 0, Measurement: rheology.TableI[0]},
-	}
-	SortAssignmentsByTopic(as)
-	if as[0].Topic != 0 || as[1].Topic != 0 || as[2].Topic != 2 {
-		t.Errorf("order: %v", as)
-	}
-	if as[0].Measurement.ID > as[1].Measurement.ID {
-		t.Error("ties should order by measurement ID")
-	}
-}
-
 // fig test fixtures: 40 docs in topic 0 with emulsion profiles either
 // Bavarois-like or plain, and terms correlated with the profile.
 func figFixture(t *testing.T) (*core.Result, []recipe.Doc, *lexicon.Dictionary) {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
@@ -95,16 +94,12 @@ func WriteCheckpointFileWithHealth(dir string, sn *core.Snapshot, h CheckpointHe
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("pipeline: checkpoint dir: %w", err)
 	}
-	var body bytes.Buffer
-	gz := gzip.NewWriter(&body)
-	if err := sn.WriteJSON(gz); err != nil {
-		return fmt.Errorf("pipeline: encoding checkpoint: %w", err)
-	}
-	if err := gz.Close(); err != nil {
-		return fmt.Errorf("pipeline: compressing checkpoint: %w", err)
+	body, err := gzipJSON("checkpoint", sn.WriteJSON)
+	if err != nil {
+		return err
 	}
 	return AtomicWriteFile(filepath.Join(dir, CheckpointFile), func(w *bufio.Writer) error {
-		return writeContainer(w, kindCheckpoint, checkpointSchemaVersion, body.Bytes(), &h)
+		return writeContainer(w, kindCheckpoint, checkpointSchemaVersion, body, &h)
 	})
 }
 
@@ -146,14 +141,9 @@ func readCheckpoint(r io.Reader) (*core.Snapshot, CheckpointHealth, error) {
 		return nil, health, fmt.Errorf("pipeline: checkpoint schema %d, this build reads ≤ %d: %w",
 			hdr.Schema, checkpointSchemaVersion, ErrVersion)
 	}
-	gz, err := gzip.NewReader(bytes.NewReader(payload))
+	sn, err := gunzipJSON(payload, "checkpoint", core.ReadSnapshotJSON)
 	if err != nil {
-		return nil, health, fmt.Errorf("pipeline: opening checkpoint payload: %w: %w", ErrCorrupt, err)
-	}
-	defer gz.Close()
-	sn, err := core.ReadSnapshotJSON(gz)
-	if err != nil {
-		return nil, health, fmt.Errorf("pipeline: decoding checkpoint: %w: %w", ErrCorrupt, err)
+		return nil, health, fmt.Errorf("pipeline: %w", err)
 	}
 	derived := snapshotHealth(sn)
 	if hdr.Health == nil {

@@ -28,6 +28,7 @@ package pipeline
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -102,6 +103,36 @@ func writeContainer(w io.Writer, kind string, schema int, payload []byte, health
 		}
 	}
 	return nil
+}
+
+// gzipJSON is the payload codec of checkpoints and shard statistics:
+// it gzips the JSON that encode writes.
+func gzipJSON(what string, encode func(io.Writer) error) ([]byte, error) {
+	var body bytes.Buffer
+	gz := gzip.NewWriter(&body)
+	if err := encode(gz); err != nil {
+		return nil, fmt.Errorf("pipeline: encoding %s: %w", what, err)
+	}
+	if err := gz.Close(); err != nil {
+		return nil, fmt.Errorf("pipeline: compressing %s: %w", what, err)
+	}
+	return body.Bytes(), nil
+}
+
+// gunzipJSON decodes a payload written by gzipJSON. Every failure wraps
+// ErrCorrupt; the caller prefixes the error with its context.
+func gunzipJSON[T any](payload []byte, what string, decode func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	gz, err := gzip.NewReader(bytes.NewReader(payload))
+	if err != nil {
+		return zero, fmt.Errorf("opening %s payload: %w: %w", what, ErrCorrupt, err)
+	}
+	defer gz.Close()
+	v, err := decode(gz)
+	if err != nil {
+		return zero, fmt.Errorf("decoding %s: %w: %w", what, ErrCorrupt, err)
+	}
+	return v, nil
 }
 
 // BundleDigest parses the format-2 container envelope in b and returns

@@ -7,7 +7,6 @@ package pipeline
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -208,21 +207,17 @@ func WriteShardStatsFile(dir, name string, st *core.ShardStats) (string, error) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("pipeline: shard dir: %w", err)
 	}
-	var body bytes.Buffer
-	gz := gzip.NewWriter(&body)
-	if err := st.WriteJSON(gz); err != nil {
-		return "", fmt.Errorf("pipeline: encoding shard stats: %w", err)
+	body, err := gzipJSON("shard stats", st.WriteJSON)
+	if err != nil {
+		return "", err
 	}
-	if err := gz.Close(); err != nil {
-		return "", fmt.Errorf("pipeline: compressing shard stats: %w", err)
-	}
-	err := AtomicWriteFile(filepath.Join(dir, name), func(w *bufio.Writer) error {
-		return writeContainer(w, kindShardStats, shardStatsSchemaVersion, body.Bytes(), nil)
+	err = AtomicWriteFile(filepath.Join(dir, name), func(w *bufio.Writer) error {
+		return writeContainer(w, kindShardStats, shardStatsSchemaVersion, body, nil)
 	})
 	if err != nil {
 		return "", err
 	}
-	return payloadDigestHex(body.Bytes()), nil
+	return payloadDigestHex(body), nil
 }
 
 // LoadIngestWatermark reads the appended-since-fit watermark from
@@ -301,14 +296,11 @@ func LoadShardStatsFile(dir, name, wantDigest string, gelPrior, emuPrior *stats.
 		return nil, fmt.Errorf("%s: shard stats digest %.12s…, manifest expects %.12s…: %w",
 			path, hdr.SHA256, wantDigest, ErrCorrupt)
 	}
-	gz, err := gzip.NewReader(bytes.NewReader(payload))
+	st, err := gunzipJSON(payload, "shard stats", func(r io.Reader) (*core.ShardStats, error) {
+		return core.ReadShardStatsJSON(r, gelPrior, emuPrior)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: opening shard stats payload: %w: %w", path, ErrCorrupt, err)
-	}
-	defer gz.Close()
-	st, err := core.ReadShardStatsJSON(gz, gelPrior, emuPrior)
-	if err != nil {
-		return nil, fmt.Errorf("%s: decoding shard stats: %w: %w", path, ErrCorrupt, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return st, nil
 }

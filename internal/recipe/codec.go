@@ -25,22 +25,3 @@ func ReadJSON(r io.Reader) ([]*Recipe, error) {
 	}
 	return out, nil
 }
-
-// WriteDocsJSON streams model-ready docs as a JSON array.
-func WriteDocsJSON(w io.Writer, docs []Doc) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(docs); err != nil {
-		return fmt.Errorf("recipe: encoding docs: %w", err)
-	}
-	return nil
-}
-
-// ReadDocsJSON reads a JSON array of docs.
-func ReadDocsJSON(r io.Reader) ([]Doc, error) {
-	var out []Doc
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("recipe: decoding docs: %w", err)
-	}
-	return out, nil
-}

@@ -43,7 +43,7 @@ type DecodeReport struct {
 // for the leniency contract.
 func ReadJSONLenient(r io.Reader, maxRecordBytes int) ([]*Recipe, *DecodeReport, error) {
 	var out []*Recipe
-	report, err := streamLenient(r, maxRecordBytes, "recipe", func(rec *Recipe) error {
+	report, err := StreamJSONLenient(r, maxRecordBytes, func(rec *Recipe) error {
 		out = append(out, rec)
 		return nil
 	})
@@ -71,35 +71,6 @@ func ReadJSONLenient(r io.Reader, maxRecordBytes int) ([]*Recipe, *DecodeReport,
 // Every skip is reported with its record index and the byte offset of
 // the record start.
 func StreamJSONLenient(r io.Reader, maxRecordBytes int, fn func(*Recipe) error) (*DecodeReport, error) {
-	return streamLenient(r, maxRecordBytes, "recipe", fn)
-}
-
-// ReadDocsJSONLenient is ReadJSONLenient for model-ready docs.
-func ReadDocsJSONLenient(r io.Reader, maxRecordBytes int) ([]Doc, *DecodeReport, error) {
-	var out []Doc
-	report, err := streamLenient(r, maxRecordBytes, "doc", func(d Doc) error {
-		out = append(out, d)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, report, nil
-}
-
-// validLenient filters decoded values the report should still skip:
-// a JSON null decodes into a nil *Recipe without error, and nothing
-// downstream tolerates nil recipes.
-func validLenient(v any) (string, bool) {
-	if p, ok := v.(*Recipe); ok && p == nil {
-		return "null record", false
-	}
-	return "", true
-}
-
-// streamLenient detects the input framing and streams records through
-// emit. See StreamJSONLenient for the contract.
-func streamLenient[T any](r io.Reader, maxRecordBytes int, what string, emit func(T) error) (*DecodeReport, error) {
 	if maxRecordBytes <= 0 {
 		maxRecordBytes = DefaultMaxRecordBytes
 	}
@@ -107,14 +78,14 @@ func streamLenient[T any](r io.Reader, maxRecordBytes int, what string, emit fun
 	first, err := peekNonSpace(br)
 	if err != nil {
 		if err == io.EOF {
-			return nil, fmt.Errorf("recipe: decoding %ss: empty input", what)
+			return nil, fmt.Errorf("recipe: decoding recipes: empty input")
 		}
-		return nil, fmt.Errorf("recipe: decoding %ss: %w", what, err)
+		return nil, fmt.Errorf("recipe: decoding recipes: %w", err)
 	}
 	if first == '[' {
-		return streamArrayLenient(br, maxRecordBytes, what, emit)
+		return streamArrayLenient(br, maxRecordBytes, fn)
 	}
-	return streamLinesLenient(br, maxRecordBytes, what, emit)
+	return streamLinesLenient(br, maxRecordBytes, fn)
 }
 
 // peekNonSpace returns the first byte past any JSON whitespace without
@@ -140,14 +111,14 @@ func peekNonSpace(br *bufio.Reader) (byte, error) {
 // element. Leniency is per-element only: a syntax error breaks the
 // element framing itself — there is no safe way to resynchronize — so
 // it fails the decode like ReadJSON does.
-func streamArrayLenient[T any](br *bufio.Reader, maxRecordBytes int, what string, emit func(T) error) (*DecodeReport, error) {
+func streamArrayLenient(br *bufio.Reader, maxRecordBytes int, emit func(*Recipe) error) (*DecodeReport, error) {
 	dec := json.NewDecoder(br)
 	tok, err := dec.Token()
 	if err != nil {
-		return nil, fmt.Errorf("recipe: decoding %ss: %w", what, err)
+		return nil, fmt.Errorf("recipe: decoding recipes: %w", err)
 	}
 	if delim, ok := tok.(json.Delim); !ok || delim != '[' {
-		return nil, fmt.Errorf("recipe: decoding %ss: input is not a JSON array (starts with %v)", what, tok)
+		return nil, fmt.Errorf("recipe: decoding recipes: input is not a JSON array (starts with %v)", tok)
 	}
 	report := &DecodeReport{}
 	for index := 0; dec.More(); index++ {
@@ -156,8 +127,8 @@ func streamArrayLenient[T any](br *bufio.Reader, maxRecordBytes int, what string
 		// raw-level error is a syntax error in the framing itself — fatal.
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
-			return nil, fmt.Errorf("recipe: decoding %ss: array element %d near offset %d: %w",
-				what, index, dec.InputOffset(), err)
+			return nil, fmt.Errorf("recipe: decoding recipes: array element %d near offset %d: %w",
+				index, dec.InputOffset(), err)
 		}
 		// The decoder hands the element's bytes back verbatim, so the
 		// record started exactly len(raw) bytes before the decoder's
@@ -172,7 +143,7 @@ func streamArrayLenient[T any](br *bufio.Reader, maxRecordBytes int, what string
 			})
 			continue
 		}
-		var v T
+		var v *Recipe
 		if err := json.Unmarshal(raw, &v); err != nil {
 			report.Skipped = append(report.Skipped, SkippedRecord{
 				Index:  index,
@@ -181,11 +152,11 @@ func streamArrayLenient[T any](br *bufio.Reader, maxRecordBytes int, what string
 			})
 			continue
 		}
-		if reason, ok := validLenient(v); !ok {
+		if v == nil { // a JSON null decodes into a nil *Recipe without error
 			report.Skipped = append(report.Skipped, SkippedRecord{
 				Index:  index,
 				Offset: offset,
-				Reason: reason,
+				Reason: "null record",
 			})
 			continue
 		}
@@ -195,7 +166,7 @@ func streamArrayLenient[T any](br *bufio.Reader, maxRecordBytes int, what string
 		report.Decoded++
 	}
 	if _, err := dec.Token(); err != nil { // closing ']'
-		return nil, fmt.Errorf("recipe: decoding %ss: unterminated array: %w", what, err)
+		return nil, fmt.Errorf("recipe: decoding recipes: unterminated array: %w", err)
 	}
 	return report, nil
 }
@@ -204,13 +175,13 @@ func streamArrayLenient[T any](br *bufio.Reader, maxRecordBytes int, what string
 // lines ignored. The newline is a resynchronization point, so every
 // per-line problem — syntax damage included — skips exactly that line.
 // Oversized lines are skipped without ever buffering more than the cap.
-func streamLinesLenient[T any](br *bufio.Reader, maxRecordBytes int, what string, emit func(T) error) (*DecodeReport, error) {
+func streamLinesLenient(br *bufio.Reader, maxRecordBytes int, emit func(*Recipe) error) (*DecodeReport, error) {
 	report := &DecodeReport{}
 	var pos int64 // byte offset of the next line's start
 	for index := 0; ; {
 		kept, lineLen, consumed, err := readCappedLine(br, maxRecordBytes)
 		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("recipe: decoding %ss: reading line at offset %d: %w", what, pos, err)
+			return nil, fmt.Errorf("recipe: decoding recipes: reading line at offset %d: %w", pos, err)
 		}
 		lineStart := pos
 		pos += consumed
@@ -240,18 +211,18 @@ func streamLinesLenient[T any](br *bufio.Reader, maxRecordBytes int, what string
 				Reason: fmt.Sprintf("record is %d bytes, cap is %d", lineLen, maxRecordBytes),
 			})
 		default:
-			var v T
+			var v *Recipe
 			if uerr := json.Unmarshal(trimmed, &v); uerr != nil {
 				report.Skipped = append(report.Skipped, SkippedRecord{
 					Index:  index,
 					Offset: recStart,
 					Reason: uerr.Error(),
 				})
-			} else if reason, ok := validLenient(v); !ok {
+			} else if v == nil {
 				report.Skipped = append(report.Skipped, SkippedRecord{
 					Index:  index,
 					Offset: recStart,
-					Reason: reason,
+					Reason: "null record",
 				})
 			} else {
 				if eerr := emit(v); eerr != nil {

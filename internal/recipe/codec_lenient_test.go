@@ -112,24 +112,6 @@ func TestReadJSONLenientMatchesStrictOnCleanInput(t *testing.T) {
 	}
 }
 
-func TestReadDocsJSONLenient(t *testing.T) {
-	input := `[
-		{"recipe_id":"a","term_ids":[1,2],"gel":[0.1],"emulsion":[0.2],"truth":-1},
-		{"recipe_id":"b","term_ids":"oops","gel":[0.1],"emulsion":[0.2],"truth":0},
-		{"recipe_id":"c","term_ids":[3],"gel":[0.3],"emulsion":[0.4],"truth":1}
-	]`
-	docs, report, err := ReadDocsJSONLenient(strings.NewReader(input), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 2 || docs[0].RecipeID != "a" || docs[1].RecipeID != "c" {
-		t.Fatalf("kept %+v, want docs a and c", docs)
-	}
-	if len(report.Skipped) != 1 || report.Skipped[0].Index != 1 {
-		t.Fatalf("report = %+v, want one skip at index 1", report)
-	}
-}
-
 // TestReadJSONLenientOffsetIsRecordStart is the regression test for
 // the skip-report offsets: they used to carry the decoder's post-read
 // position of the *previous* element (pointing at a comma or

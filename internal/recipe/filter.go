@@ -16,15 +16,6 @@ type FilterConfig struct {
 	HasTexture     func(*Recipe) bool
 }
 
-// DefaultFilterConfig reproduces the paper's rules.
-func DefaultFilterConfig() FilterConfig {
-	return FilterConfig{
-		MaxUnrelatedFraction: 0.10,
-		RequireGel:           true,
-		RequireTexture:       false,
-	}
-}
-
 // FilterStats reports why recipes were dropped.
 type FilterStats struct {
 	Input        int

@@ -214,7 +214,8 @@ func TestFilter(t *testing.T) {
 		Ingredient{Name: "水", Amount: "295ml"},
 		Ingredient{Name: "いちご", Amount: "200g"})
 
-	kept, stats := Filter([]*Recipe{good, noGel, fruity}, DefaultFilterConfig())
+	paper := FilterConfig{MaxUnrelatedFraction: 0.10, RequireGel: true}
+	kept, stats := Filter([]*Recipe{good, noGel, fruity}, paper)
 	if len(kept) != 1 || kept[0].ID != "good" {
 		t.Fatalf("kept = %v", kept)
 	}
@@ -223,7 +224,7 @@ func TestFilter(t *testing.T) {
 	}
 
 	// Texture requirement delegated.
-	cfg := DefaultFilterConfig()
+	cfg := paper
 	cfg.RequireTexture = true
 	cfg.HasTexture = func(r *Recipe) bool { return r.ID != "good" }
 	kept, stats = Filter([]*Recipe{good, fruity}, cfg)
@@ -245,21 +246,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].ID != "r1" || got[0].Description != "ぷるぷるです" ||
 		len(got[0].Ingredients) != 3 || got[0].Ingredients[0].Name != "ゼラチン" {
-		t.Errorf("round trip = %+v", got)
-	}
-}
-
-func TestDocsJSONRoundTrip(t *testing.T) {
-	docs := []Doc{{RecipeID: "a", TermIDs: []int{1, 2}, Gel: []float64{1, 2, 3}, Emulsion: make([]float64, 6), Truth: 4}}
-	var buf bytes.Buffer
-	if err := WriteDocsJSON(&buf, docs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDocsJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].RecipeID != "a" || got[0].Truth != 4 || len(got[0].TermIDs) != 2 {
 		t.Errorf("round trip = %+v", got)
 	}
 }

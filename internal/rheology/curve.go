@@ -151,17 +151,6 @@ func (c Curve) lobes() []lobe {
 	return out
 }
 
-// PeakForce returns the maximum force over the whole curve.
-func (c Curve) PeakForce() float64 {
-	m := 0.0
-	for _, p := range c.Points {
-		if p.F > m {
-			m = p.F
-		}
-	}
-	return m
-}
-
 // Duration returns the curve's time span in seconds.
 func (c Curve) Duration() float64 {
 	if len(c.Points) == 0 {

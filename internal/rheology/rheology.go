@@ -38,20 +38,6 @@ type Measurement struct {
 	Attr      Attributes                   `json:"attr"`
 }
 
-// GelVector returns the gel concentrations as a slice.
-func (m Measurement) GelVector() []float64 {
-	out := make([]float64, recipe.NumGels)
-	copy(out, m.Gels[:])
-	return out
-}
-
-// EmulsionVector returns the emulsion concentrations as a slice.
-func (m Measurement) EmulsionVector() []float64 {
-	out := make([]float64, recipe.NumEmulsions)
-	copy(out, m.Emulsions[:])
-	return out
-}
-
 // GelFeatures returns the gel setting in −log feature space, the space
 // the topic model's Gaussians live in.
 func (m Measurement) GelFeatures() []float64 {

@@ -56,46 +56,11 @@ func KLCategorical(p, q []float64) float64 {
 	return kl
 }
 
-// JSDivergence returns the Jensen-Shannon divergence between p and q,
-// a bounded symmetric alternative to KL.
-func JSDivergence(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("stats: dim mismatch in JSDivergence")
-	}
-	m := make([]float64, len(p))
-	for i := range p {
-		m[i] = 0.5 * (p[i] + q[i])
-	}
-	return 0.5*KLCategorical(p, m) + 0.5*KLCategorical(q, m)
-}
-
-// Entropy returns the Shannon entropy of a probability vector in nats.
-func Entropy(p []float64) float64 {
-	h := 0.0
-	for _, x := range p {
-		if x > 0 {
-			h -= x * math.Log(x)
-		}
-	}
-	return h
-}
-
 // ArgMax returns the index of the largest element (first on ties).
 func ArgMax(v []float64) int {
 	best := 0
 	for i := 1; i < len(v); i++ {
 		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element (first on ties).
-func ArgMin(v []float64) int {
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[best] {
 			best = i
 		}
 	}

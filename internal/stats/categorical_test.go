@@ -57,41 +57,10 @@ func TestKLCategoricalEdgeCases(t *testing.T) {
 	}
 }
 
-func TestJSDivergence(t *testing.T) {
-	p := []float64{1, 0}
-	q := []float64{0, 1}
-	// Maximal JS divergence is log 2.
-	if got := JSDivergence(p, q); math.Abs(got-math.Ln2) > 1e-12 {
-		t.Errorf("JS = %g, want ln2", got)
-	}
-	if got := JSDivergence(p, p); math.Abs(got) > 1e-12 {
-		t.Errorf("JS(p,p) = %g", got)
-	}
-	// Symmetry.
-	r := NewRNG(51, 1)
-	a := r.DirichletSym(1, 5)
-	b := r.DirichletSym(1, 5)
-	if math.Abs(JSDivergence(a, b)-JSDivergence(b, a)) > 1e-12 {
-		t.Error("JS not symmetric")
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	if got := Entropy([]float64{0.5, 0.5}); math.Abs(got-math.Ln2) > 1e-12 {
-		t.Errorf("Entropy = %g", got)
-	}
-	if got := Entropy([]float64{1, 0}); got != 0 {
-		t.Errorf("Entropy of point mass = %g", got)
-	}
-}
-
 func TestArgMaxMin(t *testing.T) {
 	v := []float64{3, 1, 4, 1, 5}
 	if ArgMax(v) != 4 {
 		t.Error("ArgMax wrong")
-	}
-	if ArgMin(v) != 1 {
-		t.Error("ArgMin wrong (should pick first tie)")
 	}
 }
 

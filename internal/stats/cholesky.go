@@ -168,24 +168,6 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// HalfQuadratic returns the quadratic form xᵀ·A⁻¹·x computed via the
-// factor: ‖L⁻¹x‖². Used in Gaussian log-densities.
-func (c *Cholesky) HalfQuadratic(x []float64) float64 {
-	n := c.L.R
-	if len(x) != n {
-		panic("stats: dim mismatch in HalfQuadratic")
-	}
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= c.L.At(i, k) * y[k]
-		}
-		y[i] = s / c.L.At(i, i)
-	}
-	return Dot(y, y)
-}
-
 // CholeskyInto factorizes the symmetric positive definite matrix a into
 // the preallocated lower-triangular dst (upper triangle is zeroed), the
 // allocation-free counterpart of NewCholesky for hot paths that reuse a
@@ -221,32 +203,6 @@ func CholeskyInto(dst, a *Mat) error {
 		}
 	}
 	return nil
-}
-
-// Rank1Update rewrites the lower-triangular factor l of A in place into
-// the factor of A + x·xᵀ using Givens rotations — O(d²) instead of the
-// O(d³) refactorization. work is caller-provided scratch of length d
-// (clobbered); x itself is not mutated.
-func Rank1Update(l *Mat, x, work []float64) {
-	l.assertSquare()
-	n := l.R
-	if len(x) != n || len(work) < n {
-		panic("stats: dim mismatch in Rank1Update")
-	}
-	w := work[:n]
-	copy(w, x)
-	for k := 0; k < n; k++ {
-		lkk := l.At(k, k)
-		r := math.Hypot(lkk, w[k])
-		c := r / lkk
-		s := w[k] / lkk
-		l.Set(k, k, r)
-		for i := k + 1; i < n; i++ {
-			v := (l.At(i, k) + s*w[i]) / c
-			l.Set(i, k, v)
-			w[i] = c*w[i] - s*v
-		}
-	}
 }
 
 // Rank1Downdate rewrites the lower-triangular factor l of A in place

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 const log2Pi = 1.8378770664093453 // log(2π)
 
@@ -54,15 +51,6 @@ func (g *Gaussian) SetParams(mean []float64, precision *Mat) error {
 	copy(g.Precision.Data, precision.Data)
 	g.logDet = g.chol.LogDet()
 	return nil
-}
-
-// NewGaussianCov builds a Gaussian from a mean and a covariance matrix.
-func NewGaussianCov(mean []float64, cov *Mat) (*Gaussian, error) {
-	prec, err := Inverse(RegularizeSPD(cov, 1e-12))
-	if err != nil {
-		return nil, err
-	}
-	return NewGaussian(mean, prec)
 }
 
 // Dim returns the dimensionality.
@@ -130,11 +118,6 @@ func (g *Gaussian) quadForm(x []float64) float64 {
 	return q
 }
 
-// Mahalanobis returns the Mahalanobis distance sqrt((x−μ)ᵀΛ(x−μ)).
-func (g *Gaussian) Mahalanobis(x []float64) float64 {
-	return math.Sqrt(g.quadForm(x))
-}
-
 // Sample draws one sample.
 func (g *Gaussian) Sample(r *RNG) []float64 {
 	return r.MVNormal(g.Mean, g.Cov())
@@ -155,44 +138,4 @@ func KLGaussian(p, q *Gaussian) float64 {
 	// log|Σq| − log|Σp| = log|Λp| − log|Λq|
 	logRatio := p.logDet - q.logDet
 	return 0.5 * (tr + quad - d + logRatio)
-}
-
-// SymKLGaussian returns the symmetrized divergence KL(p‖q)+KL(q‖p).
-func SymKLGaussian(p, q *Gaussian) float64 {
-	return KLGaussian(p, q) + KLGaussian(q, p)
-}
-
-// StudentT is a multivariate Student-t distribution, the posterior
-// predictive of a Normal-Wishart model; used by the collapsed sampler.
-type StudentT struct {
-	Mean []float64
-	// Scale is the scale matrix Σ (not covariance; covariance is
-	// ν/(ν−2)·Σ when ν > 2).
-	Scale *Mat
-	Nu    float64
-
-	chol   *Cholesky // factor of Scale
-	logDet float64
-}
-
-// NewStudentT constructs a multivariate Student-t.
-func NewStudentT(mean []float64, scale *Mat, nu float64) (*StudentT, error) {
-	if nu <= 0 {
-		return nil, fmt.Errorf("stats: Student-t needs ν > 0, got %g", nu)
-	}
-	c, err := NewCholesky(RegularizeSPD(scale, 1e-12))
-	if err != nil {
-		return nil, fmt.Errorf("stats: Student-t scale: %w", err)
-	}
-	return &StudentT{Mean: CloneVec(mean), Scale: scale.Clone(), Nu: nu, chol: c, logDet: c.LogDet()}, nil
-}
-
-// LogPdf returns the log density at x.
-func (t *StudentT) LogPdf(x []float64) float64 {
-	d := float64(len(t.Mean))
-	diff := SubVec(x, t.Mean)
-	q := t.chol.HalfQuadratic(diff)
-	return LGamma((t.Nu+d)/2) - LGamma(t.Nu/2) -
-		0.5*(d*math.Log(t.Nu*math.Pi)+t.logDet) -
-		(t.Nu+d)/2*math.Log1p(q/t.Nu)
 }

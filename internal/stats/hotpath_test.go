@@ -290,3 +290,29 @@ func TestNWAccumPredictiveAllocFree(t *testing.T) {
 		t.Errorf("LogMarginalLikelihood allocates %.1f/op, want 0", n)
 	}
 }
+
+// Rank1Update rewrites the lower-triangular factor l of A in place into
+// the factor of A + x·xᵀ using Givens rotations — O(d²) instead of the
+// O(d³) refactorization. work is caller-provided scratch of length d
+// (clobbered); x itself is not mutated.
+func Rank1Update(l *Mat, x, work []float64) {
+	l.assertSquare()
+	n := l.R
+	if len(x) != n || len(work) < n {
+		panic("stats: dim mismatch in Rank1Update")
+	}
+	w := work[:n]
+	copy(w, x)
+	for k := 0; k < n; k++ {
+		lkk := l.At(k, k)
+		r := math.Hypot(lkk, w[k])
+		c := r / lkk
+		s := w[k] / lkk
+		l.Set(k, k, r)
+		for i := k + 1; i < n; i++ {
+			v := (l.At(i, k) + s*w[i]) / c
+			l.Set(i, k, v)
+			w[i] = c*w[i] - s*v
+		}
+	}
+}

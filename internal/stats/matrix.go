@@ -53,15 +53,6 @@ func Identity(n int) *Mat {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Mat {
-	m := NewMat(len(d), len(d))
-	for i, v := range d {
-		m.Set(i, i, v)
-	}
-	return m
-}
-
 // ScaledIdentity returns s·I of size n.
 func ScaledIdentity(n int, s float64) *Mat {
 	m := NewMat(n, n)
@@ -330,18 +321,6 @@ func AxpyVec(a []float64, s float64, b []float64) []float64 {
 
 // SubVec returns a − b.
 func SubVec(a, b []float64) []float64 { return AxpyVec(a, -1, b) }
-
-// AddVec returns a + b.
-func AddVec(a, b []float64) []float64 { return AxpyVec(a, 1, b) }
-
-// ScaleVec returns s·a.
-func ScaleVec(s float64, a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = s * a[i]
-	}
-	return out
-}
 
 // CloneVec returns a copy of v.
 func CloneVec(v []float64) []float64 {

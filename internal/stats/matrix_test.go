@@ -106,10 +106,6 @@ func TestVecHelpers(t *testing.T) {
 			t.Errorf("SubVec = %v", s)
 		}
 	}
-	sc := ScaleVec(2, a)
-	if sc[2] != 6 {
-		t.Errorf("ScaleVec = %v", sc)
-	}
 	cl := CloneVec(a)
 	cl[0] = 99
 	if a[0] != 1 {
@@ -192,4 +188,13 @@ func randomSPD(r *RNG, n int) *Mat {
 		spd.Set(i, i, spd.At(i, i)+float64(n))
 	}
 	return spd
+}
+
+// Diag returns a square matrix with d on the diagonal.
+func Diag(d []float64) *Mat {
+	m := NewMat(len(d), len(d))
+	for i, v := range d {
+		m.Set(i, i, v)
+	}
+	return m
 }

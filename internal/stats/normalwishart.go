@@ -161,34 +161,10 @@ func (nw *NormalWishart) Sample(r *RNG) (mu []float64, lambda *Mat) {
 	return mu, lambda
 }
 
-// Mode returns the MAP (μ, Λ): μ = μ₀ and Λ = (ν−d)·S for ν > d.
-func (nw *NormalWishart) Mode() (mu []float64, lambda *Mat) {
-	d := float64(nw.Dim())
-	f := nw.Nu - d
-	if f <= 0 {
-		f = nw.Nu // fall back to the mean scale when the mode is undefined
-	}
-	return CloneVec(nw.Mu0), nw.S.Scale(f)
-}
-
 // MeanParams returns the posterior-mean parameters: E[μ] = μ₀ and
 // E[Λ] = ν·S.
 func (nw *NormalWishart) MeanParams() (mu []float64, lambda *Mat) {
 	return CloneVec(nw.Mu0), nw.S.Scale(nw.Nu)
-}
-
-// PredictiveT returns the posterior predictive distribution of a new
-// observation, a multivariate Student-t:
-//
-//	t_{ν−d+1}( μ₀, (β+1)/(β·(ν−d+1)) · S⁻¹ ).
-func (nw *NormalWishart) PredictiveT() (*StudentT, error) {
-	d := float64(nw.Dim())
-	dof := nw.Nu - d + 1
-	if dof <= 0 {
-		return nil, fmt.Errorf("stats: predictive dof %g ≤ 0", dof)
-	}
-	scale := nw.priorSInv().Scale((nw.Beta + 1) / (nw.Beta * dof))
-	return NewStudentT(nw.Mu0, scale, dof)
 }
 
 // LogMarginalLikelihood returns log p(xs) under the Normal-Wishart

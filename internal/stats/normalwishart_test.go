@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -157,15 +158,16 @@ func TestNWValidation(t *testing.T) {
 	}
 }
 
-func TestNWModeAndMean(t *testing.T) {
-	nw := testPrior(t, 2)
-	mu, lamMode := nw.Mode()
-	_, lamMean := nw.MeanParams()
-	if len(mu) != 2 {
-		t.Fatal("bad mode dim")
+// PredictiveT returns the posterior predictive distribution of a new
+// observation, a multivariate Student-t:
+//
+//	t_{ν−d+1}( μ₀, (β+1)/(β·(ν−d+1)) · S⁻¹ ).
+func (nw *NormalWishart) PredictiveT() (*StudentT, error) {
+	d := float64(nw.Dim())
+	dof := nw.Nu - d + 1
+	if dof <= 0 {
+		return nil, fmt.Errorf("stats: predictive dof %g ≤ 0", dof)
 	}
-	// Mode scale (ν−d)·S < mean scale ν·S elementwise on the diagonal.
-	if lamMode.At(0, 0) >= lamMean.At(0, 0) {
-		t.Error("mode precision should be smaller than mean precision")
-	}
+	scale := nw.priorSInv().Scale((nw.Beta + 1) / (nw.Beta * dof))
+	return NewStudentT(nw.Mu0, scale, dof)
 }

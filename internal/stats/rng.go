@@ -62,11 +62,6 @@ func (r *RNG) Normal(mu, sigma float64) float64 {
 // StdNormal returns a sample from N(0,1).
 func (r *RNG) StdNormal() float64 { return r.src.NormFloat64() }
 
-// Exponential returns a sample from Exp(rate).
-func (r *RNG) Exponential(rate float64) float64 {
-	return r.src.ExpFloat64() / rate
-}
-
 // Gamma returns a sample from Gamma(shape, scale) with mean shape·scale,
 // using Marsaglia–Tsang for shape ≥ 1 and the boost trick for shape < 1.
 func (r *RNG) Gamma(shape, scale float64) float64 {
@@ -110,37 +105,6 @@ func (r *RNG) Beta(a, b float64) float64 {
 	x := r.Gamma(a, 1)
 	y := r.Gamma(b, 1)
 	return x / (x + y)
-}
-
-// Dirichlet returns a sample from Dir(alpha).
-func (r *RNG) Dirichlet(alpha []float64) []float64 {
-	out := make([]float64, len(alpha))
-	s := 0.0
-	for i, a := range alpha {
-		out[i] = r.Gamma(a, 1)
-		s += out[i]
-	}
-	if s == 0 {
-		// Extremely sparse draw underflowed; fall back to uniform.
-		for i := range out {
-			out[i] = 1 / float64(len(out))
-		}
-		return out
-	}
-	for i := range out {
-		out[i] /= s
-	}
-	return out
-}
-
-// DirichletSym returns a sample from a symmetric Dirichlet with
-// concentration a in k dimensions.
-func (r *RNG) DirichletSym(a float64, k int) []float64 {
-	alpha := make([]float64, k)
-	for i := range alpha {
-		alpha[i] = a
-	}
-	return r.Dirichlet(alpha)
 }
 
 // Categorical samples an index proportionally to the non-negative

@@ -191,14 +191,33 @@ func TestWishartSamplesArePD(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(15, 1)
-	const n = 20000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = r.Exponential(4)
+// Dirichlet returns a sample from Dir(alpha).
+func (r *RNG) Dirichlet(alpha []float64) []float64 {
+	out := make([]float64, len(alpha))
+	s := 0.0
+	for i, a := range alpha {
+		out[i] = r.Gamma(a, 1)
+		s += out[i]
 	}
-	if m := Mean(xs); math.Abs(m-0.25) > 0.01 {
-		t.Errorf("Exponential(4) mean = %g, want 0.25", m)
+	if s == 0 {
+		// Extremely sparse draw underflowed; fall back to uniform.
+		for i := range out {
+			out[i] = 1 / float64(len(out))
+		}
+		return out
 	}
+	for i := range out {
+		out[i] /= s
+	}
+	return out
+}
+
+// DirichletSym returns a sample from a symmetric Dirichlet with
+// concentration a in k dimensions.
+func (r *RNG) DirichletSym(a float64, k int) []float64 {
+	alpha := make([]float64, k)
+	for i := range alpha {
+		alpha[i] = a
+	}
+	return r.Dirichlet(alpha)
 }

@@ -2,24 +2,6 @@ package stats
 
 import "math"
 
-// LogSumExp returns log Σ exp(x_i) computed stably.
-func LogSumExp(x []float64) float64 {
-	m := math.Inf(-1)
-	for _, v := range x {
-		if v > m {
-			m = v
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	s := 0.0
-	for _, v := range x {
-		s += math.Exp(v - m)
-	}
-	return m + math.Log(s)
-}
-
 // LGamma returns log Γ(x) for x > 0.
 func LGamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
@@ -52,22 +34,6 @@ func Digamma(x float64) float64 {
 	out += math.Log(x) - 0.5*inv -
 		inv2*(1.0/12-inv2*(1.0/120-inv2*(1.0/252-inv2/240)))
 	return out
-}
-
-// LogBeta returns log B(a,b).
-func LogBeta(a, b float64) float64 {
-	return LGamma(a) + LGamma(b) - LGamma(a+b)
-}
-
-// Log1pExp returns log(1+exp(x)) stably.
-func Log1pExp(x float64) float64 {
-	if x > 35 {
-		return x
-	}
-	if x < -35 {
-		return math.Exp(x)
-	}
-	return math.Log1p(math.Exp(x))
 }
 
 // Sigmoid returns 1/(1+exp(−x)).

@@ -29,36 +29,6 @@ func Variance(v []float64) float64 {
 	return s / float64(n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(v []float64) float64 { return math.Sqrt(Variance(v)) }
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) by linear
-// interpolation of the sorted sample.
-func Quantile(v []float64, q float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	s := CloneVec(v)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the sample median.
-func Median(v []float64) float64 { return Quantile(v, 0.5) }
-
 // MeanVec returns the elementwise mean of equal-length vectors.
 func MeanVec(xs [][]float64) []float64 {
 	if len(xs) == 0 {
@@ -74,27 +44,6 @@ func MeanVec(xs [][]float64) []float64 {
 		out[i] /= float64(len(xs))
 	}
 	return out
-}
-
-// CovMat returns the unbiased sample covariance matrix of the rows xs.
-func CovMat(xs [][]float64) *Mat {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	d := len(xs[0])
-	m := MeanVec(xs)
-	cov := NewMat(d, d)
-	for _, x := range xs {
-		diff := SubVec(x, m)
-		cov.AddOuterScaled(1, diff, diff)
-	}
-	if n > 1 {
-		for i := range cov.Data {
-			cov.Data[i] /= float64(n - 1)
-		}
-	}
-	return cov
 }
 
 // Histogram bins values into nbins equal-width bins over [min,max] and

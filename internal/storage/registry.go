@@ -60,8 +60,8 @@ type Manifest struct {
 	// Promoted is the generation ID replicas should converge to;
 	// 0 means nothing has been promoted yet.
 	Promoted int64 `json:"promoted"`
-	// Previous is the generation promoted before the current one — the
-	// rollback target. 0 when there is none.
+	// Previous is the generation promoted before the current one;
+	// promoting it again is the rollback. 0 when there is none.
 	Previous    int64        `json:"previous,omitempty"`
 	Generations []Generation `json:"generations"`
 }
@@ -148,7 +148,7 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 
 // Registry tracks generations of content-addressed bundles in a
 // BundleStore. Reads are safe from any number of replicas; the write
-// side (Publish/Promote/Rollback/Pin) assumes a single operator or
+// side (Publish/Promote/Pin) assumes a single operator or
 // pipeline at a time — the manifest is read-modify-write, and this
 // registry deliberately has no distributed lock.
 //
@@ -265,25 +265,6 @@ func (r *Registry) Promote(ctx context.Context, id int64) error {
 	m.Previous = m.Promoted
 	m.Promoted = id
 	return r.saveManifest(ctx, m)
-}
-
-// Rollback re-promotes the previously promoted generation and returns
-// its ID. With no previous generation it fails with ErrNoPromoted.
-func (r *Registry) Rollback(ctx context.Context) (int64, error) {
-	m, err := r.Manifest(ctx)
-	if err != nil {
-		return 0, err
-	}
-	if m.Previous == 0 {
-		return 0, fmt.Errorf("storage: rollback: no previous generation: %w", ErrNoPromoted)
-	}
-	target := m.Previous
-	m.Previous = m.Promoted
-	m.Promoted = target
-	if err := r.saveManifest(ctx, m); err != nil {
-		return 0, err
-	}
-	return target, nil
 }
 
 // Pin sets or clears a generation's pinned flag.

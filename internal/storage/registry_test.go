@@ -63,13 +63,15 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("promoted = %d, want 2", p.ID)
 	}
 
-	// Rollback returns to the previous promoted generation.
-	back, err := reg.Rollback(ctx)
-	if err != nil || back != g1.ID {
-		t.Fatalf("rollback = %d, %v; want generation 1", back, err)
+	// Rolling back is promoting the earlier generation's ID again.
+	if err := reg.Promote(ctx, g1.ID); err != nil {
+		t.Fatal(err)
 	}
 	if p, _ := reg.Promoted(ctx); p.ID != g1.ID {
 		t.Fatalf("promoted after rollback = %d, want 1", p.ID)
+	}
+	if m, err := reg.Manifest(ctx); err != nil || m.Previous != g2.ID {
+		t.Fatalf("manifest after rollback: %+v, %v; want previous = 2", m, err)
 	}
 
 	if err := reg.Pin(ctx, g1.ID, true); err != nil {

@@ -18,7 +18,7 @@
 //   - Registry: generations of content-addressed bundles (the address
 //     is the RHEODUR1 container's SHA-256 payload digest) plus a JSON
 //     manifest — itself digest-guarded — recording which generation is
-//     promoted. Publish/Promote/Rollback/Pin on the write side;
+//     promoted. Publish/Promote/Pin on the write side;
 //     Promoted/Fetch with digest verification on the read side.
 package storage
 

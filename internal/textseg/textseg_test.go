@@ -306,3 +306,17 @@ func TestDictIDsMatchesDictTokens(t *testing.T) {
 		}
 	}
 }
+
+// DictTokens returns only the dictionary-matched tokens of text, in
+// order. This is the operation the mining pipeline uses to extract
+// texture-term sequences from recipe descriptions.
+func (t *Tokenizer) DictTokens(text string) []Token {
+	all := t.Tokenize(text)
+	out := all[:0:0]
+	for _, tok := range all {
+		if tok.InDict {
+			out = append(out, tok)
+		}
+	}
+	return out
+}

@@ -109,20 +109,6 @@ func (t *Tokenizer) DictIDs(text string) []int {
 	return out
 }
 
-// DictTokens returns only the dictionary-matched tokens of text, in
-// order. This is the operation the mining pipeline uses to extract
-// texture-term sequences from recipe descriptions.
-func (t *Tokenizer) DictTokens(text string) []Token {
-	all := t.Tokenize(text)
-	out := all[:0:0]
-	for _, tok := range all {
-		if tok.InDict {
-			out = append(out, tok)
-		}
-	}
-	return out
-}
-
 // Surfaces projects tokens to their surface strings.
 func Surfaces(toks []Token) []string {
 	out := make([]string, len(toks))

@@ -1,7 +1,5 @@
 package word2vec
 
-import "sort"
-
 // FilterResult reports the outcome of the gel-relatedness filter for
 // one texture term.
 type FilterResult struct {
@@ -72,27 +70,4 @@ func FilterContrastive(m *Model, terms []string, unrelatedIngredients, gelIngred
 		}
 	}
 	return base
-}
-
-// ExcludedSet projects filter results to the set of excluded terms.
-func ExcludedSet(results []FilterResult) map[string]bool {
-	out := make(map[string]bool)
-	for _, r := range results {
-		if r.Excluded {
-			out[r.Term] = true
-		}
-	}
-	return out
-}
-
-// KeptTerms returns the terms that survived, sorted.
-func KeptTerms(results []FilterResult) []string {
-	var out []string
-	for _, r := range results {
-		if !r.Excluded {
-			out = append(out, r.Term)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,9 +1,7 @@
 package word2vec
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -221,15 +219,6 @@ func TestFilterExcludesNutTerms(t *testing.T) {
 	if byTerm["notinvocab"].Excluded {
 		t.Error("OOV terms should be kept")
 	}
-
-	ex := ExcludedSet(results)
-	if !ex["sakusaku"] || ex["purupuru"] {
-		t.Errorf("ExcludedSet = %v", ex)
-	}
-	kept := KeptTerms(results)
-	if len(kept) != 2 {
-		t.Errorf("kept = %v", kept)
-	}
 }
 
 func TestFilterMinSimGate(t *testing.T) {
@@ -256,55 +245,5 @@ func TestSubsampleKeepProb(t *testing.T) {
 	}
 	if v.subsampleKeepProb(the, 0) != 1 {
 		t.Error("threshold 0 disables subsampling")
-	}
-}
-
-func TestModelJSONRoundTrip(t *testing.T) {
-	m := trainTestModel(t)
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadModelJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dim != m.Dim || got.Vocab.Size() != m.Vocab.Size() {
-		t.Fatalf("shape lost: %d/%d vs %d/%d", got.Dim, got.Vocab.Size(), m.Dim, m.Vocab.Size())
-	}
-	// Similarity queries identical.
-	a1, err := m.Similarity("purupuru", "zeri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := got.Similarity("purupuru", "zeri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Errorf("similarity drifted: %g vs %g", a1, a2)
-	}
-	nb1, _ := m.MostSimilar("sakusaku", 3)
-	nb2, _ := got.MostSimilar("sakusaku", 3)
-	for i := range nb1 {
-		if nb1[i].Word != nb2[i].Word {
-			t.Errorf("neighbours drifted: %v vs %v", nb1, nb2)
-			break
-		}
-	}
-}
-
-func TestReadModelJSONErrors(t *testing.T) {
-	for _, payload := range []string{
-		"not json",
-		`{"version": 9, "dim": 4, "words": ["a"], "counts": [1], "in": [0,0,0,0]}`,
-		`{"version": 1, "dim": 4, "words": [], "counts": [], "in": []}`,
-		`{"version": 1, "dim": 4, "words": ["a"], "counts": [1,2], "in": [0,0,0,0]}`,
-		`{"version": 1, "dim": 4, "words": ["a"], "counts": [1], "in": [0]}`,
-		`{"version": 1, "dim": 2, "words": ["a","a"], "counts": [1,1], "in": [0,0,0,0]}`,
-	} {
-		if _, err := ReadModelJSON(strings.NewReader(payload)); err == nil {
-			t.Errorf("payload %q should fail", payload)
-		}
 	}
 }
