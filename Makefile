@@ -62,9 +62,11 @@ pgo-check:
 # The online-ingest suite joins the gate in full: the WAL's group-commit
 # fsync, the kill -9 chaos harness, and the background refit controller
 # are concurrent durability machinery — the exact code this smoke exists
-# to keep race-clean.
+# to keep race-clean. Every chain, supervised or not, runs through the
+# supervisor with its background checkpoint writer and stall watchdog,
+# so the plain checkpoint and resume tests join the gate too.
 smoke:
-	$(GO) test -race -run 'Health|Supervis|Rollback|Breaker|Robust|Store|Registry|Follower|Cache|Drain|Shard|Chaos|Stream|Ingest|WAL|Refit' ./internal/core ./internal/resilience ./internal/pipeline ./internal/storage ./internal/serve
+	$(GO) test -race -run 'Health|Supervis|Rollback|Checkpoint|Resume|Breaker|Robust|Store|Registry|Follower|Cache|Drain|Shard|Chaos|Stream|Ingest|WAL|Refit' ./internal/core ./internal/resilience ./internal/pipeline ./internal/storage ./internal/serve
 	$(GO) test -race ./internal/shardfit
 	$(GO) test -race ./internal/ingest
 	$(GO) test -race ./client

@@ -21,9 +21,11 @@
 // or a startup fit (-scale/-iters). A bundle, from a file or the
 // registry, is loaded with pipeline.LoadModel: only the model part a
 // server reads is inflated, never the fit record behind it. A startup
-// fit with -checkpoint-dir
-// writes crash-safe checkpoints; with -resume it continues a
-// half-finished fit instead of starting over.
+// fit with -checkpoint-dir writes crash-safe checkpoints; with -resume
+// it continues a half-finished fit instead of starting over. The fit
+// flags (-scale through -log-every) are pipeline.FitFlags, shared with
+// texturetopics; -supervise gives each chain a restart budget and
+// health thresholds.
 //
 // With -ingest-dir the server accepts online corpus growth: POST
 // /ingest fsyncs each recipe into a durable WAL before acking, folds it
@@ -42,6 +44,7 @@
 //	              [-refit-interval 15s] [-refit-base corpus.jsonl]
 //	              [-checkpoint-dir dir] [-checkpoint-every 25] [-resume]
 //	              [-supervise] [-max-restarts 3] [-sweep-timeout 0] [-max-ll-drop 0]
+//	              [-shards 1] [-shard-dir dir] [-log-every 50]
 //	              [-admin-token secret]
 //	              [-pool N] [-max-batch 64] [-cache] [-cache-size 4096]
 //	              [-request-timeout 5s] [-drain-timeout 10s]
@@ -82,17 +85,6 @@ func main() {
 		storeSpec    = flag.String("store", "", "follow the model registry in this store (fs:DIR, mem:, or a bare directory)")
 		registryPoll = flag.Duration("registry-poll", 5*time.Second, "registry poll interval (with -store)")
 		genPin       = flag.Int64("generation-pin", 0, "pin this replica to a registry generation ID instead of following promotions (with -store)")
-		scale        = flag.Float64("scale", 1.0, "training corpus scale")
-		iters        = flag.Int("iters", 300, "Gibbs sweeps for the startup fit")
-		ckDir        = flag.String("checkpoint-dir", "", "write startup-fit checkpoints into this directory")
-		ckEvery      = flag.Int("checkpoint-every", 25, "sweeps between checkpoints (with -checkpoint-dir)")
-		resume       = flag.Bool("resume", false, "resume the startup fit from -checkpoint-dir if a checkpoint exists")
-		supervise    = flag.Bool("supervise", false, "run the startup fit under the self-healing supervisor")
-		maxRst       = flag.Int("max-restarts", 3, "supervised recovery attempts after the first (with -supervise)")
-		sweepTO      = flag.Duration("sweep-timeout", 0, "supervised stall watchdog: abort a sweep exceeding this duration (0 disables)")
-		maxLLDrop    = flag.Float64("max-ll-drop", 0, "supervised divergence threshold below the best sweep's log-likelihood (0 disables)")
-		shards       = flag.Int("shards", 1, "fit the startup corpus as this many supervised shards merged by sufficient statistics")
-		shardDir     = flag.String("shard-dir", "", "durable shard manifest + statistics directory for the startup fit (with -shards)")
 		ingestDir    = flag.String("ingest-dir", "", "durable ingest WAL directory; mounts POST /ingest and /ingest/batch")
 		refitRecords = flag.Uint64("refit-records", 1000, "trigger a background re-fit after this many accepted records past the watermark (with -ingest-dir and -store)")
 		refitAge     = flag.Duration("refit-age", 0, "trigger a re-fit once the oldest unfitted record is this old, regardless of count (0 disables)")
@@ -108,8 +100,8 @@ func main() {
 		admitWait    = flag.Duration("admit-wait", 250*time.Millisecond, "max wait for an annotator before shedding with 429")
 		logFormat    = flag.String("log-format", "text", "access/progress log format: text or json")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		logEvery     = flag.Int("log-every", 50, "log fitting progress every N sweeps (0 disables)")
 	)
+	fit := pipeline.RegisterFitFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger := obs.NewLogger(os.Stderr, *logFormat)
@@ -162,7 +154,7 @@ func main() {
 		var err error
 		mgr, err = ingest.OpenManager(ingest.ManagerOptions{
 			Dir:      *ingestDir,
-			ShardDir: *shardDir,
+			ShardDir: fit.ShardDir(),
 			Metrics:  metrics,
 		})
 		if err != nil {
@@ -177,6 +169,13 @@ func main() {
 	}
 
 	srv := serve.NewPending(opts)
+
+	// The fit options, built once for the startup fit and the re-fit
+	// controller. The fit records into the server's registry, so the
+	// sweep and stage series show up on the same /metrics page as the
+	// serving counters.
+	popts := fit.Options(logger)
+	popts.Metrics = metrics
 
 	// Registry follower mode: the model comes from the store's promoted
 	// generation, so the startup fit/load goroutine below is skipped and
@@ -217,23 +216,8 @@ func main() {
 				logger.Info("loading bundle", "path", *bundlePath)
 				out, err = pipeline.LoadModelFile(*bundlePath)
 			} else {
-				logger.Info("fitting topic model", "scale", *scale, "sweeps", *iters,
-					"checkpoint_dir", *ckDir, "resume", *resume)
-				popts := pipeline.DefaultOptions()
-				popts.Corpus.Scale = *scale
-				popts.Model.Iterations = *iters
-				popts.Checkpoint = pipeline.CheckpointOptions{Dir: *ckDir, Every: *ckEvery, Resume: *resume}
-				popts.Supervise = *supervise
-				popts.MaxRestarts = *maxRst
-				popts.SweepTimeout = *sweepTO
-				popts.MaxLLDrop = *maxLLDrop
-				popts.ShardCount = *shards
-				popts.ShardDir = *shardDir
-				// The fit records into the server's registry, so the sweep and
-				// stage series show up on the same /metrics page as the serving
-				// counters.
-				popts.Metrics = srv.Metrics()
-				popts.Model.Hooks = pipeline.SweepProgress(logger, *logEvery)
+				logger.Info("fitting topic model", "scale", popts.Corpus.Scale, "sweeps", popts.Model.Iterations,
+					"checkpoint_dir", popts.Checkpoint.Dir, "resume", popts.Checkpoint.Resume)
 				out, err = pipeline.Run(popts)
 			}
 			if err != nil {
@@ -265,22 +249,10 @@ func main() {
 		if *refitBase != "" {
 			base = pipeline.FileSource(*refitBase)
 		}
-		ropts := pipeline.DefaultOptions()
-		ropts.Corpus.Scale = *scale
-		ropts.Model.Iterations = *iters
-		ropts.Supervise = *supervise
-		ropts.MaxRestarts = *maxRst
-		ropts.SweepTimeout = *sweepTO
-		ropts.MaxLLDrop = *maxLLDrop
-		ropts.ShardCount = *shards
-		if *shards > 1 {
-			// -shard-dir pulls double duty: the ingest watermark lives in
-			// its manifest even for single-chain re-fits, but the pipeline
-			// accepts a shard directory only for an actually sharded fit.
-			ropts.ShardDir = *shardDir
-		}
-		ropts.Metrics = metrics
-		ropts.Model.Hooks = pipeline.SweepProgress(logger, *logEvery)
+		// The re-fit reuses the fit options minus the checkpoint, which
+		// belongs to the startup corpus, not the grown one.
+		ropts := popts
+		ropts.Checkpoint = pipeline.CheckpointOptions{}
 		refitter, err := ingest.NewRefitter(ingest.RefitOptions{
 			Manager:    mgr,
 			Base:       base,

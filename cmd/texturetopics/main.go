@@ -16,11 +16,17 @@
 //	              [-supervise] [-max-restarts 3] [-sweep-timeout 0] [-max-ll-drop 0]
 //	              [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	              [-v] [-log-format text|json] [-log-every 50]
+//
+// The fit flags (-scale, -iters, the checkpoint, supervision and shard
+// flags, -log-every) are pipeline.FitFlags, shared with textureserver.
+// Every chain runs under the resilience supervisor; -supervise gives it
+// a restart budget and health thresholds instead of one attempt.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -39,9 +45,7 @@ import (
 
 func main() {
 	var (
-		scale     = flag.Float64("scale", 1.0, "corpus scale relative to the paper's ~3,000 recipes")
 		k         = flag.Int("k", 10, "number of topics")
-		iters     = flag.Int("iters", 300, "Gibbs sweeps")
 		seed      = flag.Uint64("seed", 1, "model seed")
 		collapsed = flag.Bool("collapsed", false, "use the collapsed sampler")
 		noFilter  = flag.Bool("no-filter", false, "disable the word2vec relatedness filter")
@@ -50,28 +54,19 @@ func main() {
 		stream    = flag.String("stream", "", "stream this JSONL corpus file record-at-a-time instead of generating in memory")
 		corpSize  = flag.Int("corpus-size", 0, "stream exactly this many synthetic recipes through ingestion without materializing them (overrides -scale)")
 		ingestDir = flag.String("ingest-dir", "", "fold this online-ingest WAL's records into the fit, appended after the -stream/-corpus-size base")
-		shards    = flag.Int("shards", 1, "fit the corpus as this many independently supervised shards merged by sufficient statistics")
 		shardRtr  = flag.Int("shard-retries", 2, "orchestrator retries per failed shard (with -shards)")
 		stragTO   = flag.Duration("straggler-timeout", 0, "split and refit a shard attempt exceeding this duration (0 disables; with -shards)")
-		shardDir  = flag.String("shard-dir", "", "durable shard manifest + statistics directory; a killed run resumes from it (with -shards)")
 		modelOut  = flag.String("model-out", "", "write the fitted model JSON to this file")
 		bundleOut = flag.String("bundle-out", "", "write the full serving bundle (model+docs+exclusions) to this file")
 		storeSpec = flag.String("store", "", "publish the bundle to this model store (fs:DIR, mem:, or a bare directory)")
 		pubNote   = flag.String("publish-note", "", "operator note recorded on the published generation (with -store)")
 		promote   = flag.Bool("promote", false, "promote the published generation so follower replicas roll to it (with -store)")
-		ckDir     = flag.String("checkpoint-dir", "", "write crash-safe fit checkpoints into this directory")
-		ckEvery   = flag.Int("checkpoint-every", 25, "sweeps between checkpoints (with -checkpoint-dir)")
-		resume    = flag.Bool("resume", false, "resume the fit from -checkpoint-dir if a checkpoint exists")
-		supervise = flag.Bool("supervise", false, "run the fit under the self-healing supervisor (health checks, rollback, restart)")
-		maxRst    = flag.Int("max-restarts", 3, "supervised recovery attempts after the first (with -supervise)")
-		sweepTO   = flag.Duration("sweep-timeout", 0, "supervised stall watchdog: abort a sweep exceeding this duration (0 disables)")
-		maxLLDrop = flag.Float64("max-ll-drop", 0, "supervised divergence threshold: abort when log-likelihood drops this far below the best sweep (0 disables)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a post-run heap profile to this file")
 		verbose   = flag.Bool("v", false, "print progress and the validation summary")
 		logFormat = flag.String("log-format", "text", "progress log format: text or json")
-		logEvery  = flag.Int("log-every", 50, "log sweep progress every N sweeps with -v (0 disables)")
 	)
+	fit := pipeline.RegisterFitFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *cpuProf != "" {
@@ -102,28 +97,22 @@ func main() {
 		}()
 	}
 
-	opts := pipeline.DefaultOptions()
-	opts.Corpus.Scale = *scale
+	var logger *slog.Logger
+	if *verbose {
+		logger = obs.NewLogger(os.Stderr, *logFormat)
+	}
+	opts := fit.Options(logger)
+	// Unlike textureserver, texturetopics keeps no ingest watermark under
+	// -shard-dir, so a shard directory without -shards > 1 stays an error.
+	opts.ShardDir = fit.ShardDir()
 	opts.Model.K = *k
-	opts.Model.Iterations = *iters
 	opts.Model.Seed = *seed
 	opts.Model.Collapsed = *collapsed
 	opts.Model.Workers = *workers
 	opts.Model.UseEmulsion = !*noEmu
 	opts.UseW2VFilter = !*noFilter
-	opts.Checkpoint = pipeline.CheckpointOptions{Dir: *ckDir, Every: *ckEvery, Resume: *resume}
-	opts.Supervise = *supervise
-	opts.MaxRestarts = *maxRst
-	opts.SweepTimeout = *sweepTO
-	opts.MaxLLDrop = *maxLLDrop
-	opts.ShardCount = *shards
 	opts.ShardRetries = *shardRtr
 	opts.StragglerTimeout = *stragTO
-	opts.ShardDir = *shardDir
-	if *verbose {
-		logger := obs.NewLogger(os.Stderr, *logFormat)
-		opts.Model.Hooks = pipeline.SweepProgress(logger, *logEvery)
-	}
 
 	var base pipeline.StreamSource
 	switch {

@@ -8,6 +8,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Contingency is the co-occurrence table of predicted cluster ×
@@ -57,11 +58,24 @@ func (c *Contingency) Purity() float64 {
 	return float64(total) / float64(c.n)
 }
 
-// MutualInformation returns I(pred; truth) in nats.
+// MutualInformation returns I(pred; truth) in nats. Like entropy, it
+// sums in sorted key order: Go's map order is random, and a float sum
+// in random order differs between runs in the last bits.
 func (c *Contingency) MutualInformation() float64 {
+	keys := make([][2]int, 0, len(c.counts))
+	for key := range c.counts {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return a[0] - b[0]
+		}
+		return a[1] - b[1]
+	})
 	mi := 0.0
 	n := float64(c.n)
-	for key, nij := range c.counts {
+	for _, key := range keys {
+		nij := c.counts[key]
 		pij := float64(nij) / n
 		pi := float64(c.rowSum[key[0]]) / n
 		pj := float64(c.colSum[key[1]]) / n
@@ -70,10 +84,17 @@ func (c *Contingency) MutualInformation() float64 {
 	return mi
 }
 
+// entropy returns the entropy in nats of the marginal counts sums,
+// summed in sorted key order.
 func entropy(sums map[int]int, n int) float64 {
+	keys := make([]int, 0, len(sums))
+	for k := range sums {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	h := 0.0
-	for _, s := range sums {
-		p := float64(s) / float64(n)
+	for _, k := range keys {
+		p := float64(sums[k]) / float64(n)
 		if p > 0 {
 			h -= p * math.Log(p)
 		}

@@ -152,3 +152,30 @@ func TestBootstrapClusterMetric(t *testing.T) {
 		t.Error("bad level should fail")
 	}
 }
+
+// TestContingencyScoresBitStable: the information scores of one fixed
+// clustering must not depend on map iteration order. Rebuilding the
+// same contingency reshuffles Go's map order, so any order-dependent
+// float sum shows up as a last-bit difference between rebuilds.
+func TestContingencyScoresBitStable(t *testing.T) {
+	const n = 2000
+	pred, truth := make([]int, n), make([]int, n)
+	for i := range pred {
+		pred[i] = (i * 7919) % 23
+		truth[i] = (i*104729 + i/5) % 17
+	}
+	scores := func() [3]uint64 {
+		c, err := NewContingency(pred, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [3]uint64{math.Float64bits(c.MutualInformation()),
+			math.Float64bits(c.NMI()), math.Float64bits(c.VMeasure())}
+	}
+	want := scores()
+	for i := 0; i < 50; i++ {
+		if got := scores(); got != want {
+			t.Fatalf("rebuild %d: MI/NMI/V bits %x, first build %x", i, got, want)
+		}
+	}
+}

@@ -319,10 +319,10 @@ func (st *FitCheckpointStore) Discard(reason string) error {
 	return err
 }
 
-// fitModel runs the model stage, honouring sharding, checkpointing
-// and supervision. The incident slice is non-empty only
-// for supervised fits that needed recovery; the summary is non-nil
-// only for sharded fits.
+// fitModel runs the model stage: the sharded fitter when ShardCount >
+// 1, else one chain. The incident slice is non-empty only when a
+// supervised chain needed recovery; the summary is non-nil only for
+// sharded fits.
 func fitModel(data *core.Data, opts Options) (*core.Result, []resilience.Incident, *ShardFitSummary, error) {
 	if opts.ShardCount > 1 {
 		if shardFitter == nil {
@@ -339,143 +339,123 @@ func fitModel(data *core.Data, opts Options) (*core.Result, []resilience.Inciden
 		}
 		return res, sum.Incidents, sum, nil
 	}
-	res, incidents, err := fitUnsharded(data, opts)
+	initial, err := startupResume(opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	res, incidents, err := RunChain(context.Background(), data, opts.Model, opts, opts.Checkpoint.Dir, initial, nil)
 	return res, incidents, nil, err
 }
 
-// fitUnsharded is the single-model fit path (every mode except
-// ShardCount > 1).
-func fitUnsharded(data *core.Data, opts Options) (*core.Result, []resilience.Incident, error) {
-	if opts.Supervise {
-		return fitSupervised(data, opts)
-	}
+// startupResume loads the checkpoint a resumed single-chain fit starts
+// from: nil when Checkpoint.Resume is off or there is nothing to resume
+// yet. Unsupervised, a checkpoint that cannot be resumed is an error.
+// Supervised, a diverged or damaged one is retired and the fit starts
+// fresh: self-healing means starting over and saying so.
+func startupResume(opts Options) (*core.Snapshot, error) {
 	ck := opts.Checkpoint
-	if ck.Dir == "" {
-		res, err := core.Fit(data, opts.Model)
-		return res, nil, err
+	if ck.Dir == "" || !ck.Resume {
+		return nil, nil
 	}
-	cfg := opts.Model
-	cfg.CheckpointEvery = ck.Every
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 25
-	}
-	writer := NewCheckpointWriter(ck.Dir, opts.Metrics)
-	cfg.CheckpointFunc = writer.Write
-
-	var res *core.Result
+	st := &FitCheckpointStore{Dir: ck.Dir}
+	var sn *core.Snapshot
 	var err error
-	if ck.Resume {
-		var sn *core.Snapshot
-		sn, err = LoadCheckpointFile(ck.Dir)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			res, err = core.Fit(data, cfg) // nothing to resume yet
-		case err != nil:
-			return nil, nil, err
-		default:
-			if opts.Metrics != nil {
-				opts.Metrics.Counter("checkpoint_loads_total",
-					"Chain checkpoints loaded for resume.", nil).Inc()
-			}
-			res, err = core.ResumeFit(data, cfg, sn)
-		}
+	if opts.Supervise {
+		sn, err = st.LoadHealthy()
 	} else {
-		res, err = core.Fit(data, cfg)
+		sn, err = LoadCheckpointFile(ck.Dir)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := writer.Flush(); err != nil {
-		return nil, nil, fmt.Errorf("pipeline: final checkpoint: %w", err)
-	}
-	return res, nil, nil
-}
-
-// fitSupervised wires Options into the resilience supervisor: health
-// policy thresholds, the checkpoint store (when a checkpoint dir is
-// configured), health/restart/rollback metrics, and the startup
-// resume. Unlike the plain resume path, a corrupt or diverged
-// checkpoint is not fatal here — self-healing means starting fresh and
-// saying so.
-func fitSupervised(data *core.Data, opts Options) (*core.Result, []resilience.Incident, error) {
-	cfg := opts.Model
-	cfg.Health.MaxLLDrop = opts.MaxLLDrop
-	cfg.Health.SweepTimeout = opts.SweepTimeout
-	if cfg.Health.MinTopics == 0 {
-		cfg.Health.MinTopics = 1
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil
+	case opts.Supervise && (errors.Is(err, ErrUnhealthyCheckpoint) || errors.Is(err, ErrCorrupt) ||
+		errors.Is(err, core.ErrSnapshot)):
+		_ = st.Discard("unusable at startup resume: " + err.Error())
+		return nil, nil
+	case err != nil:
+		return nil, err
+	case !opts.Supervise && sn.Seed != opts.Model.Seed:
+		// The supervisor resumes a checkpoint under its own seed, since a
+		// supervised chain may have reseeded itself. An unsupervised
+		// chain never does, so a foreign seed means another fit's
+		// checkpoint.
+		return nil, fmt.Errorf("pipeline: checkpoint seed %d, config seed %d: %w", sn.Seed, opts.Model.Seed, core.ErrSnapshot)
 	}
 	if opts.Metrics != nil {
-		reg := opts.Metrics
-		prev := cfg.Health.OnEvent
-		cfg.Health.OnEvent = func(ev core.HealthEvent) {
-			reg.Counter("fit_health_events_total",
-				"Numerical-health violations detected during model fits.",
-				obs.Labels{"kind": string(ev.Kind)}).Inc()
-			if prev != nil {
-				prev(ev)
-			}
-		}
+		opts.Metrics.Counter("checkpoint_loads_total",
+			"Chain checkpoints loaded for resume.", nil).Inc()
 	}
+	return sn, nil
+}
 
-	var store resilience.CheckpointStore
-	var initial *core.Snapshot
-	ck := opts.Checkpoint
-	if ck.Dir != "" {
-		cfg.CheckpointEvery = ck.Every
-		if cfg.CheckpointEvery <= 0 {
-			cfg.CheckpointEvery = 25
-		}
-		st := &FitCheckpointStore{Dir: ck.Dir, Metrics: opts.Metrics}
-		store = st
-		if ck.Resume {
-			sn, err := st.LoadHealthy()
-			switch {
-			case err == nil:
-				initial = sn
-				if opts.Metrics != nil {
-					opts.Metrics.Counter("checkpoint_loads_total",
-						"Chain checkpoints loaded for resume.", nil).Inc()
-				}
-			case errors.Is(err, fs.ErrNotExist):
-				// Nothing to resume yet.
-			case errors.Is(err, ErrUnhealthyCheckpoint) || errors.Is(err, ErrCorrupt) ||
-				errors.Is(err, core.ErrSnapshot):
-				// A diverged or damaged checkpoint must not block recovery;
-				// retire it and start fresh.
-				_ = st.Discard("unusable at startup resume: " + err.Error())
-			default:
-				return nil, nil, err
-			}
-		}
-	}
-
-	maxRestarts := opts.MaxRestarts
-	if maxRestarts == 0 {
-		maxRestarts = 3
-	}
+// RunChain fits one Gibbs chain under the resilience supervisor. Every
+// chain runs through it: the single-chain fit and each shard of a
+// sharded fit. opts sets the supervision. With Supervise, the chain
+// gets a restart budget (MaxRestarts, default 3) and the health
+// thresholds (MaxLLDrop, SweepTimeout, at least one live topic), and
+// restarts and health events are counted into opts.Metrics. Without
+// it the budget is zero, so the chain runs once, exactly as core.Fit
+// would. A non-empty ckDir receives a checkpoint every
+// Checkpoint.Every sweeps (default 25), the rollback target of a
+// restart. initial, when non-nil, is the checkpoint the first attempt
+// resumes; capture is resilience.Supervisor.Capture.
+func RunChain(ctx context.Context, data *core.Data, cfg core.Config, opts Options, ckDir string,
+	initial *core.Snapshot, capture func(*core.Sampler)) (*core.Result, []resilience.Incident, error) {
 	sup := &resilience.Supervisor{
-		MaxRestarts: maxRestarts,
 		Backoff: resilience.Backoff{
 			Base: 50 * time.Millisecond,
 			Max:  2 * time.Second,
 			Seed: cfg.Seed,
 		},
-		Store: store,
+		Capture: capture,
 	}
-	if opts.Metrics != nil {
-		restartsC := opts.Metrics.Counter("fit_restarts_total",
-			"Supervised fit attempts restarted after an incident.", nil)
-		rollbackC := opts.Metrics.Counter("fit_rollback_sweeps_total",
-			"Sweeps of progress lost to checkpoint rollbacks.", nil)
-		sup.OnIncident = func(inc resilience.Incident) {
-			if inc.Action == resilience.ActionGaveUp {
-				return
-			}
-			restartsC.Inc()
-			if inc.Action == resilience.ActionRollback && inc.ResumedFrom >= 0 && inc.Sweep > inc.ResumedFrom {
-				rollbackC.Add(int64(inc.Sweep - inc.ResumedFrom))
-			}
+	if ckDir != "" {
+		cfg.CheckpointEvery = opts.Checkpoint.Every
+		if cfg.CheckpointEvery <= 0 {
+			cfg.CheckpointEvery = 25
+		}
+		sup.Store = &FitCheckpointStore{Dir: ckDir, Metrics: opts.Metrics}
+	}
+	if opts.Supervise {
+		cfg.Health.MaxLLDrop = opts.MaxLLDrop
+		cfg.Health.SweepTimeout = opts.SweepTimeout
+		if cfg.Health.MinTopics == 0 {
+			cfg.Health.MinTopics = 1
+		}
+		sup.MaxRestarts = opts.MaxRestarts
+		if sup.MaxRestarts == 0 {
+			sup.MaxRestarts = 3
+		}
+		if reg := opts.Metrics; reg != nil {
+			superviseMetrics(reg, &cfg, sup)
 		}
 	}
-	return sup.RunFit(context.Background(), data, cfg, initial)
+	return sup.RunFit(ctx, data, cfg, initial)
+}
+
+// superviseMetrics counts a supervised chain's health events, restarts
+// and the sweeps its rollbacks replay into reg.
+func superviseMetrics(reg *obs.Registry, cfg *core.Config, sup *resilience.Supervisor) {
+	prev := cfg.Health.OnEvent
+	cfg.Health.OnEvent = func(ev core.HealthEvent) {
+		reg.Counter("fit_health_events_total",
+			"Numerical-health violations detected during model fits.",
+			obs.Labels{"kind": string(ev.Kind)}).Inc()
+		if prev != nil {
+			prev(ev)
+		}
+	}
+	restartsC := reg.Counter("fit_restarts_total",
+		"Supervised fit attempts restarted after an incident.", nil)
+	rollbackC := reg.Counter("fit_rollback_sweeps_total",
+		"Sweeps of progress lost to checkpoint rollbacks.", nil)
+	sup.OnIncident = func(inc resilience.Incident) {
+		if inc.Action == resilience.ActionGaveUp {
+			return
+		}
+		restartsC.Inc()
+		if inc.Action == resilience.ActionRollback && inc.ResumedFrom >= 0 && inc.Sweep > inc.ResumedFrom {
+			rollbackC.Add(int64(inc.Sweep - inc.ResumedFrom))
+		}
+	}
 }

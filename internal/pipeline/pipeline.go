@@ -39,11 +39,12 @@ type Options struct {
 	// (see CheckpointOptions).
 	Checkpoint CheckpointOptions
 
-	// Supervise runs the fit under the self-healing supervisor: sweeps
-	// are health-checked (NaN / log-likelihood collapse / topic
-	// implosion / degenerate covariance / stalls), and unhealthy chains
-	// roll back to the last healthy checkpoint (when Checkpoint.Dir is
-	// set) or restart reseeded.
+	// Supervise gives every chain of the fit a restart budget
+	// (MaxRestarts) and the health thresholds (MaxLLDrop, SweepTimeout,
+	// at least one live topic); an unhealthy chain rolls back to its
+	// last healthy checkpoint or restarts reseeded. It also makes a
+	// sharded fit write per-shard checkpoints under ShardDir. It does
+	// not pick a code path: every chain runs through RunChain.
 	Supervise bool
 	// MaxRestarts bounds supervised recovery attempts after the first
 	// (default 3 when Supervise is set).
@@ -131,9 +132,10 @@ type Output struct {
 	W2V           *word2vec.Model
 	// Timings holds per-stage wall times in execution order.
 	Timings []StageTiming
-	// FitIncidents is the supervised fit's recovery history: empty for
-	// unsupervised runs and for supervised runs that never needed a
-	// rollback or restart. Not persisted in bundles.
+	// FitIncidents is the fit's recovery history: empty unless a
+	// supervised chain needed a rollback or restart (an unsupervised
+	// chain has no restart budget, so any incident fails the fit). Not
+	// persisted in bundles.
 	FitIncidents []resilience.Incident
 	// Shards summarizes the sharded fit when ShardCount > 1 (nil
 	// otherwise). Not persisted in bundles.
@@ -254,58 +256,78 @@ func RunOnRecipes(recipes []*recipe.Recipe, opts Options) (*Output, error) {
 		out.recordStage(opts.Metrics, "word2vec_filter", start)
 	}
 
-	// Dataset filters: gel required, ≤ MaxUnrelated unrelated share,
-	// and at least one surviving texture term.
 	filterStart := time.Now()
-	cfg := recipe.FilterConfig{
+	out.Kept, out.FilterStats = recipe.Filter(recipes, out.filterConfig(opts))
+
+	for _, r := range out.Kept {
+		out.addDoc(r)
+	}
+	out.recordStage(opts.Metrics, "dataset_filter", filterStart)
+	if err := out.fit(opts); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// filterConfig is the dataset filter: gel required, at most
+// MaxUnrelated unrelated-ingredient share, and at least one texture
+// term the word2vec filter kept.
+func (o *Output) filterConfig(opts Options) recipe.FilterConfig {
+	return recipe.FilterConfig{
 		MaxUnrelatedFraction: opts.MaxUnrelated,
 		RequireGel:           true,
 		RequireTexture:       true,
 		HasTexture: func(r *recipe.Recipe) bool {
-			return len(out.termIDs(r)) > 0
+			return len(o.termIDs(r)) > 0
 		},
 	}
-	out.Kept, out.FilterStats = recipe.Filter(recipes, cfg)
+}
 
-	// Model input.
-	data := &core.Data{V: out.Dict.Len()}
-	for _, r := range out.Kept {
-		doc := recipe.Doc{
-			RecipeID: r.ID,
-			TermIDs:  out.termIDs(r),
-			Gel:      r.GelFeatures(),
-			Emulsion: r.EmulsionFeatures(),
-			Truth:    r.Truth,
-		}
-		out.Docs = append(out.Docs, doc)
-		data.Words = append(data.Words, doc.TermIDs)
-		data.Gel = append(data.Gel, doc.Gel)
-		data.Emu = append(data.Emu, doc.Emulsion)
-	}
-	if len(out.Docs) == 0 {
-		return nil, fmt.Errorf("pipeline: no recipes survived the filters")
-	}
-	out.recordStage(opts.Metrics, "dataset_filter", filterStart)
+// addDoc featurises a kept recipe into a model input document.
+func (o *Output) addDoc(r *recipe.Recipe) {
+	o.Docs = append(o.Docs, recipe.Doc{
+		RecipeID: r.ID,
+		TermIDs:  o.termIDs(r),
+		Gel:      r.GelFeatures(),
+		Emulsion: r.EmulsionFeatures(),
+		Truth:    r.Truth,
+	})
+}
 
+// fit is the model stage every entry point shares: it assembles the
+// model input from Docs, fits it, and prebuilds the fold-in kernel.
+func (o *Output) fit(opts Options) error {
+	if len(o.Docs) == 0 {
+		return fmt.Errorf("pipeline: no recipes survived the filters")
+	}
+	data := &core.Data{
+		V:     o.Dict.Len(),
+		Words: make([][]int, len(o.Docs)),
+		Gel:   make([][]float64, len(o.Docs)),
+		Emu:   make([][]float64, len(o.Docs)),
+	}
+	for i, d := range o.Docs {
+		data.Words[i], data.Gel[i], data.Emu[i] = d.TermIDs, d.Gel, d.Emulsion
+	}
 	if opts.Metrics != nil {
 		opts.Model.Hooks = opts.Model.Hooks.Then(SamplerMetrics(opts.Metrics))
 	}
-	modelStart := time.Now()
+	start := time.Now()
 	res, incidents, shards, err := fitModel(data, opts)
-	out.FitIncidents = incidents
-	out.Shards = shards
+	o.FitIncidents = incidents
+	o.Shards = shards
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: model: %w", err)
+		return fmt.Errorf("pipeline: model: %w", err)
 	}
-	out.recordStage(opts.Metrics, "model", modelStart)
-	out.Model = res
+	o.recordStage(opts.Metrics, "model", start)
+	o.Model = res
 	// A freshly fitted model is structurally sound by construction;
 	// prebuilding the fold-in kernel here moves its one-time cost off
 	// the first annotation request.
 	if _, err := res.BuildKernel(); err != nil {
-		return nil, fmt.Errorf("pipeline: fold-in kernel: %w", err)
+		return fmt.Errorf("pipeline: fold-in kernel: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // termIDs extracts the recipe's texture-term IDs, dropping terms the

@@ -12,7 +12,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/lexicon"
 	"repro/internal/recipe"
@@ -75,7 +74,7 @@ func RunStream(src StreamSource, opts Options) (*Output, error) {
 	}
 
 	ingestStart := time.Now()
-	data, report, err := out.ingest(src, opts)
+	report, err := out.ingest(src, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -87,25 +86,9 @@ func RunStream(src StreamSource, opts Options) (*Output, error) {
 			"Corpus records skipped by streaming ingestion (malformed, oversized, unresolvable).",
 			nil).Add(int64(len(report.Skipped)))
 	}
-	if len(out.Docs) == 0 {
-		return nil, fmt.Errorf("pipeline: no recipes survived the filters")
-	}
 	out.recordStage(opts.Metrics, "dataset_filter", ingestStart)
-
-	if opts.Metrics != nil {
-		opts.Model.Hooks = opts.Model.Hooks.Then(SamplerMetrics(opts.Metrics))
-	}
-	modelStart := time.Now()
-	res, incidents, shards, err := fitModel(data, opts)
-	out.FitIncidents = incidents
-	out.Shards = shards
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: model: %w", err)
-	}
-	out.recordStage(opts.Metrics, "model", modelStart)
-	out.Model = res
-	if _, err := res.BuildKernel(); err != nil {
-		return nil, fmt.Errorf("pipeline: fold-in kernel: %w", err)
+	if err := out.fit(opts); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -149,22 +132,14 @@ func (o *Output) trainFilterStreaming(src StreamSource, opts Options) error {
 }
 
 // ingest is the second pass: stream records through amount resolution,
-// the dataset filters and feature construction, building the model
-// input without retaining recipe text. Resolution failures are
+// the dataset filters and feature construction, collecting the kept
+// documents without retaining recipe text. Resolution failures are
 // reported as skips alongside the decoder's own.
-func (o *Output) ingest(src StreamSource, opts Options) (*core.Data, *recipe.DecodeReport, error) {
-	cfg := recipe.FilterConfig{
-		MaxUnrelatedFraction: opts.MaxUnrelated,
-		RequireGel:           true,
-		RequireTexture:       true,
-		HasTexture: func(r *recipe.Recipe) bool {
-			return len(o.termIDs(r)) > 0
-		},
-	}
-	data := &core.Data{V: o.Dict.Len()}
+func (o *Output) ingest(src StreamSource, opts Options) (*recipe.DecodeReport, error) {
+	cfg := o.filterConfig(opts)
 	r, err := src()
 	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline: opening corpus stream: %w", err)
+		return nil, fmt.Errorf("pipeline: opening corpus stream: %w", err)
 	}
 	defer r.Close()
 	var unresolved []recipe.SkippedRecord
@@ -178,26 +153,15 @@ func (o *Output) ingest(src StreamSource, opts Options) (*core.Data, *recipe.Dec
 			})
 			return nil
 		}
-		if !cfg.Admit(rec, &o.FilterStats) {
-			return nil
+		if cfg.Admit(rec, &o.FilterStats) {
+			o.addDoc(rec)
 		}
-		doc := recipe.Doc{
-			RecipeID: rec.ID,
-			TermIDs:  o.termIDs(rec),
-			Gel:      rec.GelFeatures(),
-			Emulsion: rec.EmulsionFeatures(),
-			Truth:    rec.Truth,
-		}
-		o.Docs = append(o.Docs, doc)
-		data.Words = append(data.Words, doc.TermIDs)
-		data.Gel = append(data.Gel, doc.Gel)
-		data.Emu = append(data.Emu, doc.Emulsion)
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline: ingesting corpus: %w", err)
+		return nil, fmt.Errorf("pipeline: ingesting corpus: %w", err)
 	}
 	report.Decoded -= len(unresolved)
 	report.Skipped = append(report.Skipped, unresolved...)
-	return data, report, nil
+	return report, nil
 }

@@ -103,9 +103,6 @@ func (g *Gate) Release() {
 // InUse is the number of currently admitted holders.
 func (g *Gate) InUse() int { return len(g.slots) }
 
-// Capacity is the maximum number of concurrent holders.
-func (g *Gate) Capacity() int { return cap(g.slots) }
-
 // Admitted is the total number of successful Acquires.
 func (g *Gate) Admitted() int64 { return g.admitted.Load() }
 

@@ -335,8 +335,9 @@ func (r *run) fitShard(ctx context.Context, e pipeline.ShardEntry, depth int) er
 		e.Lo, e.Hi, retries+1, lastErr)
 }
 
-// runAttempt runs one shard chain under its own supervisor and
-// captures its mergeable statistics.
+// runAttempt runs one shard chain through pipeline.RunChain and
+// captures its mergeable statistics. Supervised, the chain checkpoints
+// into its own directory under the shard directory.
 func (r *run) runAttempt(ctx context.Context, e pipeline.ShardEntry, attempt int) (*core.ShardStats, error) {
 	if r.started != nil {
 		r.started.Inc()
@@ -344,31 +345,12 @@ func (r *run) runAttempt(ctx context.Context, e pipeline.ShardEntry, attempt int
 	start := time.Now()
 	cfg := r.cfg
 	cfg.Seed = e.Seed
-	maxRestarts := 0
-	var store resilience.CheckpointStore
-	if r.opts.Supervise {
-		cfg.Health.MaxLLDrop = r.opts.MaxLLDrop
-		cfg.Health.SweepTimeout = r.opts.SweepTimeout
-		if cfg.Health.MinTopics == 0 {
-			cfg.Health.MinTopics = 1
-		}
-		maxRestarts = r.opts.MaxRestarts
-		if maxRestarts == 0 {
-			maxRestarts = 3
-		}
-		if r.dir != "" {
-			cfg.CheckpointEvery = r.opts.Checkpoint.Every
-			if cfg.CheckpointEvery <= 0 {
-				cfg.CheckpointEvery = 25
-			}
-			store = &pipeline.FitCheckpointStore{
-				Dir:     shardCheckpointDir(r.dir, e),
-				Metrics: r.opts.Metrics,
-			}
-		}
-	}
 	if r.o.Chaos != nil {
 		r.o.Chaos(e.Lo, e.Hi, attempt, &cfg)
+	}
+	ckDir := ""
+	if r.opts.Supervise && r.dir != "" {
+		ckDir = shardCheckpointDir(r.dir, e)
 	}
 	if r.opts.StragglerTimeout > 0 {
 		var cancel context.CancelFunc
@@ -376,17 +358,8 @@ func (r *run) runAttempt(ctx context.Context, e pipeline.ShardEntry, attempt int
 		defer cancel()
 	}
 	var st *core.ShardStats
-	sup := &resilience.Supervisor{
-		MaxRestarts: maxRestarts,
-		Backoff: resilience.Backoff{
-			Base: 10 * time.Millisecond,
-			Max:  500 * time.Millisecond,
-			Seed: cfg.Seed,
-		},
-		Store:   store,
-		Capture: func(s *core.Sampler) { st = s.ShardStats(e.Lo) },
-	}
-	_, incidents, err := sup.RunFit(ctx, r.data.Slice(e.Lo, e.Hi), cfg, nil)
+	_, incidents, err := pipeline.RunChain(ctx, r.data.Slice(e.Lo, e.Hi), cfg, r.opts, ckDir, nil,
+		func(s *core.Sampler) { st = s.ShardStats(e.Lo) })
 	if len(incidents) > 0 {
 		r.mu.Lock()
 		r.sum.Incidents = append(r.sum.Incidents, incidents...)

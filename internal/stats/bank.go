@@ -33,9 +33,6 @@ func NewGaussianBank(k, d int) *GaussianBank {
 	}
 }
 
-// K returns the component count.
-func (b *GaussianBank) K() int { return b.k }
-
 // Dim returns the component dimension.
 func (b *GaussianBank) Dim() int { return b.d }
 

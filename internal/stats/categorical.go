@@ -5,20 +5,6 @@ import (
 	"sort"
 )
 
-// Normalize returns w scaled to sum to one. Panics if the sum is not
-// positive.
-func Normalize(w []float64) []float64 {
-	s := SumVec(w)
-	if s <= 0 || math.IsNaN(s) {
-		panic("stats: Normalize needs a positive sum")
-	}
-	out := make([]float64, len(w))
-	for i, x := range w {
-		out[i] = x / s
-	}
-	return out
-}
-
 // NormalizeSmoothed adds eps to every weight before normalizing,
 // allowing all-zero or partially-zero vectors to become proper
 // distributions (used when comparing sparse concentration vectors with

@@ -6,19 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNormalize(t *testing.T) {
-	p := Normalize([]float64{1, 3})
-	if p[0] != 0.25 || p[1] != 0.75 {
-		t.Errorf("Normalize = %v", p)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Normalize of zeros should panic")
-		}
-	}()
-	Normalize([]float64{0, 0})
-}
-
 func TestNormalizeSmoothed(t *testing.T) {
 	p := NormalizeSmoothed([]float64{0, 0, 0}, 1)
 	for _, x := range p {

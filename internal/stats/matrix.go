@@ -269,17 +269,6 @@ func (m *Mat) assertSquare() {
 	}
 }
 
-// Outer returns the outer product a·bᵀ.
-func Outer(a, b []float64) *Mat {
-	m := NewMat(len(a), len(b))
-	for i, av := range a {
-		for j, bv := range b {
-			m.Set(i, j, av*bv)
-		}
-	}
-	return m
-}
-
 // AddOuterScaled adds s·a·bᵀ into m in place.
 func (m *Mat) AddOuterScaled(s float64, a, b []float64) {
 	if m.R != len(a) || m.C != len(b) {

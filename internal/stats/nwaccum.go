@@ -71,9 +71,6 @@ func NewNWAccum(prior *NormalWishart) *NWAccum {
 	}
 }
 
-// N returns the number of accumulated observations.
-func (a *NWAccum) N() int { return int(a.n + 0.5) }
-
 // Add incorporates x.
 func (a *NWAccum) Add(x []float64) {
 	a.n++

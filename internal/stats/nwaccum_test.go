@@ -54,9 +54,6 @@ func TestNWAccumRemoveRestoresState(t *testing.T) {
 		acc.Remove(x)
 	}
 	after := acc.Posterior()
-	if acc.N() != 20 {
-		t.Fatalf("N = %d", acc.N())
-	}
 	for i := range before.Mu0 {
 		if math.Abs(before.Mu0[i]-after.Mu0[i]) > 1e-8 {
 			t.Errorf("μ not restored at %d", i)

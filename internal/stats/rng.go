@@ -100,13 +100,6 @@ func (r *RNG) ChiSquared(df float64) float64 {
 	return r.Gamma(df/2, 2)
 }
 
-// Beta returns a sample from Beta(a, b).
-func (r *RNG) Beta(a, b float64) float64 {
-	x := r.Gamma(a, 1)
-	y := r.Gamma(b, 1)
-	return x / (x + y)
-}
-
 // Categorical samples an index proportionally to the non-negative
 // weights w. The weights need not be normalized. Panics if all weights
 // are zero or any is negative/NaN.

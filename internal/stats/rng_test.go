@@ -59,20 +59,6 @@ func TestChiSquaredMean(t *testing.T) {
 	}
 }
 
-func TestBetaMoments(t *testing.T) {
-	r := NewRNG(3, 1)
-	const n = 20000
-	a, b := 2.0, 5.0
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = r.Beta(a, b)
-	}
-	want := a / (a + b)
-	if m := Mean(xs); math.Abs(m-want) > 0.01 {
-		t.Errorf("Beta(2,5) mean = %g, want %g", m, want)
-	}
-}
-
 func TestDirichletProperties(t *testing.T) {
 	r := NewRNG(4, 1)
 	alpha := []float64{1, 2, 3}

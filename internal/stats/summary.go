@@ -46,28 +46,6 @@ func MeanVec(xs [][]float64) []float64 {
 	return out
 }
 
-// Histogram bins values into nbins equal-width bins over [min,max] and
-// returns the counts. Values outside the range are clamped to the edge
-// bins.
-func Histogram(v []float64, nbins int, min, max float64) []int {
-	counts := make([]int, nbins)
-	if nbins == 0 || max <= min {
-		return counts
-	}
-	w := (max - min) / float64(nbins)
-	for _, x := range v {
-		b := int((x - min) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // PearsonCorr returns the Pearson correlation between x and y.
 func PearsonCorr(x, y []float64) float64 {
 	if len(x) != len(y) || len(x) < 2 {

@@ -33,18 +33,6 @@ func TestMeanVecCovMat(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	v := []float64{0.1, 0.2, 0.6, 0.9, -5, 100}
-	h := Histogram(v, 2, 0, 1)
-	// -5 clamps to bin 0, 100 clamps to bin 1.
-	if h[0] != 3 || h[1] != 3 {
-		t.Errorf("Histogram = %v", h)
-	}
-	if got := Histogram(v, 0, 0, 1); len(got) != 0 {
-		t.Error("zero bins should return empty")
-	}
-}
-
 func TestPearsonSpearman(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}

@@ -48,8 +48,8 @@ type Generation struct {
 	Note string `json:"note,omitempty"`
 	// CreatedUnix is the publish time (Unix seconds).
 	CreatedUnix int64 `json:"created_unix"`
-	// Pinned protects the generation from future pruning tools and
-	// marks it as a deliberate rollback target.
+	// Pinned is read from manifests of earlier builds, which could pin
+	// a generation. Nothing sets it now; a manifest rewrite keeps it.
 	Pinned bool `json:"pinned,omitempty"`
 }
 
@@ -148,7 +148,7 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 
 // Registry tracks generations of content-addressed bundles in a
 // BundleStore. Reads are safe from any number of replicas; the write
-// side (Publish/Promote/Pin) assumes a single operator or
+// side (Publish/Promote) assumes a single operator or
 // pipeline at a time — the manifest is read-modify-write, and this
 // registry deliberately has no distributed lock.
 //
@@ -162,9 +162,6 @@ type Registry struct {
 
 // NewRegistry builds a registry over store.
 func NewRegistry(store BundleStore) *Registry { return &Registry{store: store} }
-
-// Store exposes the underlying blob store.
-func (r *Registry) Store() BundleStore { return r.store }
 
 func (r *Registry) now() time.Time {
 	if r.Clock != nil {
@@ -264,20 +261,6 @@ func (r *Registry) Promote(ctx context.Context, id int64) error {
 	}
 	m.Previous = m.Promoted
 	m.Promoted = id
-	return r.saveManifest(ctx, m)
-}
-
-// Pin sets or clears a generation's pinned flag.
-func (r *Registry) Pin(ctx context.Context, id int64, pinned bool) error {
-	m, err := r.Manifest(ctx)
-	if err != nil {
-		return err
-	}
-	g, ok := m.generation(id)
-	if !ok {
-		return fmt.Errorf("storage: pin generation %d: %w", id, ErrNotFound)
-	}
-	g.Pinned = pinned
 	return r.saveManifest(ctx, m)
 }
 

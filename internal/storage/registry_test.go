@@ -20,7 +20,7 @@ func testRegistry(t *testing.T) (*Registry, *KVStore) {
 }
 
 // TestRegistryLifecycle walks the full operator flow: publish two
-// generations, promote, promote again, roll back, pin.
+// generations, promote, promote again, roll back.
 func TestRegistryLifecycle(t *testing.T) {
 	ctx := ctxT(t)
 	reg, _ := testRegistry(t)
@@ -74,13 +74,6 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("manifest after rollback: %+v, %v; want previous = 2", m, err)
 	}
 
-	if err := reg.Pin(ctx, g1.ID, true); err != nil {
-		t.Fatal(err)
-	}
-	if g, _ := reg.Generation(ctx, g1.ID); !g.Pinned {
-		t.Fatal("pin did not stick")
-	}
-
 	// Fetch verifies content against the generation digest.
 	got, err := reg.Fetch(ctx, g1)
 	if err != nil || string(got) != string(b1) {
@@ -90,9 +83,6 @@ func TestRegistryLifecycle(t *testing.T) {
 	// Unknown generations are typed.
 	if err := reg.Promote(ctx, 99); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("promote unknown: %v", err)
-	}
-	if err := reg.Pin(ctx, 99, true); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("pin unknown: %v", err)
 	}
 }
 
@@ -314,4 +304,36 @@ func FuzzRegistryManifest(f *testing.F) {
 			t.Fatalf("untyped manifest error: %v", err)
 		}
 	})
+}
+
+// TestRegistryReadsPinnedManifest: earlier builds could pin a
+// generation. Their manifest, "pinned": true included, still loads,
+// and a promote that rewrites it keeps the flag.
+func TestRegistryReadsPinnedManifest(t *testing.T) {
+	ctx := ctxT(t)
+	reg, kv := testRegistry(t)
+	const old = `{"schema":1,"sha256":"d85cdc1c153493cdf5dcffffe7839ce9cc8ebaf97a59b76f75d98944a4894c4d","manifest":{"schema":1,"promoted":1,"generations":[{"id":1,"digest":"6cf2012ae6618b75ba2aa036e24ad48aacc94ed4c33bd62072352ec200a2877a","size":158,"note":"nightly","created_unix":1700000000,"pinned":true}]}}`
+	if err := kv.Put(ctx, ManifestKey, []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := reg.Promoted(ctx)
+	if err != nil || p.ID != 1 || !p.Pinned {
+		t.Fatalf("promoted = %+v, %v; want pinned generation 1", p, err)
+	}
+	if err := kv.Put(ctx, BundleKey(p.Digest), fakeBundle(t, "generation one")); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := reg.Publish(ctx, fakeBundle(t, "generation two"), "refit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Promote(ctx, g2.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Promote(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := reg.Promoted(ctx); err != nil || p.ID != 1 || !p.Pinned {
+		t.Fatalf("promoted after rewrites = %+v, %v; want pinned generation 1", p, err)
+	}
 }

@@ -81,9 +81,6 @@ func TestTrieBasics(t *testing.T) {
 	if _, ok := tr.Lookup("ぷるぷ"); ok {
 		t.Error("prefix should not match")
 	}
-	if !tr.Contains("かたい") || tr.Contains("やわらかい") {
-		t.Error("Contains wrong")
-	}
 	// Re-insert keeps count and updates ID.
 	tr.Insert("ぷる", 9)
 	if tr.Len() != 3 {

@@ -46,12 +46,6 @@ func (t *Trie) Insert(word string, id int) {
 	n.id = id
 }
 
-// Contains reports whether word is stored.
-func (t *Trie) Contains(word string) bool {
-	_, ok := t.Lookup(word)
-	return ok
-}
-
 // Lookup returns the ID of word if stored.
 func (t *Trie) Lookup(word string) (id int, ok bool) {
 	n := &t.root
