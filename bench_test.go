@@ -28,7 +28,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/recipe"
 	"repro/internal/report"
-	"repro/internal/resilience"
 	"repro/internal/rheology"
 	"repro/internal/rules"
 	"repro/internal/sensory"
@@ -1277,37 +1276,34 @@ func supervisionBenchData() (*core.Data, core.Config) {
 }
 
 // BenchmarkUnsupervisedFit is the control for BenchmarkSupervisedFit:
-// the same fit with no health policy and no supervisor.
-func BenchmarkUnsupervisedFit(b *testing.B) {
-	data, cfg := supervisionBenchData()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Fit(data, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// the pipeline's unsupervised fit path, pipeline.RunChain with a zero
+// restart budget and no health thresholds.
+func BenchmarkUnsupervisedFit(b *testing.B) { benchmarkRunChain(b, false) }
 
-// BenchmarkSupervisedFit measures the same fit under the self-healing
-// supervisor with the always-on health classifier armed (NaN, collapse
-// and stall checks evaluated every sweep) on a chain that never
-// diverges — the steady-state overhead a healthy fit pays for the
-// safety net. Compare ns/op against BenchmarkUnsupervisedFit: the
-// delta is the supervision tax and must stay within a few percent.
-func BenchmarkSupervisedFit(b *testing.B) {
+// BenchmarkSupervisedFit measures the same RunChain call with
+// Supervise set: a restart budget and the health classifier armed
+// (NaN, collapse, divergence and stall checks evaluated every sweep)
+// on a chain that never diverges — the steady-state overhead a healthy
+// fit pays for the safety net. Compare ns/op against
+// BenchmarkUnsupervisedFit: the delta is the supervision tax.
+func BenchmarkSupervisedFit(b *testing.B) { benchmarkRunChain(b, true) }
+
+// benchmarkRunChain times pipeline.RunChain on the supervision bench
+// chain. The options differ only in Supervise: without it the
+// thresholds below are ignored.
+func benchmarkRunChain(b *testing.B, supervise bool) {
 	data, cfg := supervisionBenchData()
-	cfg.Health = core.HealthPolicy{
+	opts := pipeline.Options{
+		Supervise:    supervise,
+		MaxRestarts:  3,
 		MaxLLDrop:    1e9, // armed but unreachable on a healthy chain
-		MinTopics:    1,
 		SweepTimeout: time.Hour,
 	}
-	sup := &resilience.Supervisor{MaxRestarts: 3}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, incidents, err := sup.RunFit(ctx, data, cfg, nil)
+		_, incidents, err := pipeline.RunChain(ctx, data, cfg, opts, "", nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -48,8 +48,8 @@ func TestManagerWatermarkPersistence(t *testing.T) {
 	if got := m2.Watermark(); got != 3 {
 		t.Fatalf("watermark after reopen = %d, want 3", got)
 	}
-	if got := pipeline.LoadIngestWatermark(shardDir); got != 3 {
-		t.Fatalf("LoadIngestWatermark = %d, want 3", got)
+	if got, _ := pipeline.LoadIngestState(shardDir); got != 3 {
+		t.Fatalf("LoadIngestState = %d, want 3", got)
 	}
 	// Monotone: a stale commit (an older refit finishing late) cannot
 	// roll the watermark back.
@@ -59,7 +59,7 @@ func TestManagerWatermarkPersistence(t *testing.T) {
 	if got := m2.Watermark(); got != 3 {
 		t.Fatalf("stale commit moved the watermark to %d", got)
 	}
-	if got := pipeline.LoadIngestWatermark(shardDir); got != 3 {
+	if got, _ := pipeline.LoadIngestState(shardDir); got != 3 {
 		t.Fatalf("stale commit persisted watermark %d", got)
 	}
 }

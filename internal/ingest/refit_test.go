@@ -173,7 +173,7 @@ func TestRefitOnceFoldsWALAndPromotes(t *testing.T) {
 	if got := rig.mgr.Watermark(); got != snapshot {
 		t.Fatalf("watermark = %d, want %d", got, snapshot)
 	}
-	if got := pipeline.LoadIngestWatermark(rig.shard); got != snapshot {
+	if got, _ := pipeline.LoadIngestState(rig.shard); got != snapshot {
 		t.Fatalf("persisted watermark = %d, want %d", got, snapshot)
 	}
 	if st := rig.mgr.Status(); st.RefitState != RefitIdle || st.LastPromoted != gen.ID {

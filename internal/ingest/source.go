@@ -5,6 +5,7 @@ package ingest
 import (
 	"encoding/json"
 	"io"
+	"strings"
 
 	"repro/internal/pipeline"
 )
@@ -44,29 +45,10 @@ func CombinedSource(base pipeline.StreamSource, dir string, upTo uint64) pipelin
 		// The separating newline guards against a base stream whose last
 		// line has no terminator; the lenient decoder skips blank lines,
 		// so a doubled newline costs nothing.
-		readers = append(readers, io.MultiReader(newlineReader(), pr))
+		readers = append(readers, io.MultiReader(strings.NewReader("\n"), pr))
 		closers = append(closers, pr)
 		return &multiReadCloser{r: io.MultiReader(readers...), closers: closers}, nil
 	}
-}
-
-func newlineReader() io.Reader {
-	return &byteOnce{b: '\n'}
-}
-
-// byteOnce yields a single byte then EOF.
-type byteOnce struct {
-	b    byte
-	done bool
-}
-
-func (o *byteOnce) Read(p []byte) (int, error) {
-	if o.done || len(p) == 0 {
-		return 0, io.EOF
-	}
-	o.done = true
-	p[0] = o.b
-	return 1, nil
 }
 
 // multiReadCloser closes every constituent when the concatenated

@@ -35,6 +35,7 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -245,10 +246,19 @@ func (w *WAL) recoverSegment(n int, last bool) error {
 	if err != nil {
 		return fmt.Errorf("ingest: opening wal segment: %w", err)
 	}
-	keep, err := w.scanSegment(f, n, last)
+	keep, err := readSegment(f, n, last, &w.nextSeq, func(rec *walRecord, hash [sha256.Size]byte) error {
+		w.records++
+		if _, dup := w.index[hash]; !dup {
+			w.index[hash] = rec.Seq
+		}
+		if w.oldest == 0 || (rec.ReceivedUnix != 0 && rec.ReceivedUnix < w.oldest) {
+			w.oldest = rec.ReceivedUnix
+		}
+		return nil
+	})
 	if err != nil {
 		f.Close()
-		if last && errors.Is(err, errTornHeader) {
+		if errors.Is(err, errTornHeader) {
 			// Crash between segment creation and header fsync: recreate.
 			if rerr := os.Remove(path); rerr != nil {
 				return fmt.Errorf("ingest: removing torn wal segment: %w", rerr)
@@ -291,56 +301,48 @@ func (w *WAL) recoverSegment(n int, last bool) error {
 }
 
 // errTornHeader marks a final segment whose envelope never finished
-// writing; recoverSegment recreates such a segment.
+// writing: recovery recreates such a segment, and Replay reads it as
+// holding no acknowledged data.
 var errTornHeader = errors.New("ingest: wal segment header torn")
 
-// scanSegment validates the envelope and walks every record frame,
-// feeding w's index. It returns the byte offset of the last complete
-// frame. On the final segment a torn frame ends the scan (tolerated);
-// anywhere else it is ErrCorrupt.
-func (w *WAL) scanSegment(f *os.File, n int, last bool) (keep int64, err error) {
-	r := &countingReader{r: f}
-	br := newByteScanner(r)
-	var magic [len(walMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+// readSegment is the one reader of the segment format, shared by
+// recovery and Replay so both accept and refuse the same bytes. It
+// validates segment n's envelope (magic, header length, JSON header,
+// format, segment number), then walks the record frames, checking each
+// record's version, its sequence number against *next (advanced as it
+// goes) and its hash before handing it to visit. It returns the byte
+// offset just past the last complete frame. On the final segment a torn
+// envelope is errTornHeader and a torn frame ends the walk; anywhere
+// else either is ErrCorrupt. A visit error stops the walk and is
+// returned as is.
+func readSegment(r io.Reader, n int, last bool, next *uint64,
+	visit func(rec *walRecord, hash [sha256.Size]byte) error) (keep int64, err error) {
+	cr := &countingReader{r: r}
+	br := bufio.NewReaderSize(cr, 64<<10)
+	torn := func(why string) (int64, error) {
 		if last {
 			return 0, errTornHeader
 		}
-		return 0, fmt.Errorf("ingest: wal segment magic missing: %w: %w", ErrCorrupt, err)
+		return 0, fmt.Errorf("ingest: wal segment %s: %w", why, ErrCorrupt)
 	}
-	if string(magic[:]) != walMagic {
-		if last {
-			return 0, errTornHeader
-		}
-		return 0, fmt.Errorf("ingest: not a wal segment: %w", ErrCorrupt)
+	var env [len(walMagic) + 4]byte
+	if _, err := io.ReadFull(br, env[:]); err != nil {
+		return torn("envelope truncated")
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-		if last {
-			return 0, errTornHeader
-		}
-		return 0, fmt.Errorf("ingest: wal segment header length missing: %w: %w", ErrCorrupt, err)
+	if string(env[:len(walMagic)]) != walMagic {
+		return torn("magic missing")
 	}
-	hdrLen := binary.BigEndian.Uint32(lenBuf[:])
+	hdrLen := binary.BigEndian.Uint32(env[len(walMagic):])
 	if hdrLen == 0 || hdrLen > maxWALHeaderLen {
-		if last {
-			return 0, errTornHeader
-		}
-		return 0, fmt.Errorf("ingest: wal segment header length %d implausible: %w", hdrLen, ErrCorrupt)
+		return torn(fmt.Sprintf("header length %d implausible", hdrLen))
 	}
 	hdrBytes := make([]byte, hdrLen)
 	if _, err := io.ReadFull(br, hdrBytes); err != nil {
-		if last {
-			return 0, errTornHeader
-		}
-		return 0, fmt.Errorf("ingest: wal segment header truncated: %w: %w", ErrCorrupt, err)
+		return torn("header truncated")
 	}
 	var hdr walSegmentHeader
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		if last {
-			return 0, errTornHeader
-		}
-		return 0, fmt.Errorf("ingest: wal segment header unparseable: %w: %w", ErrCorrupt, err)
+		return torn("header unparseable")
 	}
 	if hdr.Format != walFormat {
 		return 0, fmt.Errorf("ingest: wal segment format %d, this build reads %d: %w",
@@ -350,40 +352,36 @@ func (w *WAL) scanSegment(f *os.File, n int, last bool) (keep int64, err error) 
 		return 0, fmt.Errorf("ingest: wal segment header claims %d, file is %s: %w",
 			hdr.Segment, segName(n), ErrCorrupt)
 	}
-	keep = r.n - int64(br.buffered())
 	for {
-		rec, ferr := readFrame(br)
-		if ferr == io.EOF {
+		// countingReader.n minus what br holds ahead is the offset of the
+		// next unread byte: the end of the last complete frame.
+		keep = cr.n - int64(br.Buffered())
+		rec, err := readFrame(br)
+		if err == io.EOF {
 			return keep, nil
 		}
-		if ferr != nil {
+		if err != nil {
 			if last {
-				// Torn tail — everything before keep stays.
-				return keep, nil
+				return keep, nil // torn tail: everything before keep stays
 			}
-			return keep, ferr
+			return keep, err
 		}
 		if rec.V > walRecordV {
 			return keep, fmt.Errorf("ingest: wal record v%d, this build reads ≤ v%d: %w",
 				rec.V, walRecordV, ErrVersion)
 		}
-		if rec.Seq != w.nextSeq+1 {
+		if rec.Seq != *next+1 {
 			return keep, fmt.Errorf("ingest: wal record seq %d, want %d: %w",
-				rec.Seq, w.nextSeq+1, ErrCorrupt)
+				rec.Seq, *next+1, ErrCorrupt)
 		}
-		hash, herr := decodeHash(rec.Hash)
-		if herr != nil {
-			return keep, herr
+		hash, err := decodeHash(rec.Hash)
+		if err != nil {
+			return keep, err
 		}
-		w.nextSeq = rec.Seq
-		w.records++
-		if _, dup := w.index[hash]; !dup {
-			w.index[hash] = rec.Seq
+		*next = rec.Seq
+		if err := visit(rec, hash); err != nil {
+			return keep, err
 		}
-		if w.oldest == 0 || (rec.ReceivedUnix != 0 && rec.ReceivedUnix < w.oldest) {
-			w.oldest = rec.ReceivedUnix
-		}
-		keep = r.n - int64(br.buffered())
 	}
 }
 
@@ -621,15 +619,6 @@ func (w *WAL) LastSeq() uint64 {
 	return w.nextSeq
 }
 
-// Contains reports whether a recipe with this canonical hash is
-// already in the log, and its sequence.
-func (w *WAL) Contains(hash [sha256.Size]byte) (uint64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	seq, ok := w.index[hash]
-	return seq, ok
-}
-
 // Stats summarizes the log.
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()
@@ -667,114 +656,50 @@ func (w *WAL) Close() error {
 // — first occurrence wins, matching the append-side index. It reads
 // the segment files directly, so it works on a live directory (a
 // concurrent appender only adds frames past upTo, which replay never
-// reaches) and on a cold one with no WAL open. At-least-once delivery
-// with dedup is the contract re-fits build on.
+// reaches) and on a cold one with no WAL open. It reads segments with
+// recovery's reader, so it refuses exactly the damage Open refuses; a
+// torn final header holds no acknowledged data and ends the stream.
+// At-least-once delivery with dedup is the contract re-fits build on.
 func Replay(dir string, upTo uint64, fn func(seq uint64, doc json.RawMessage) error) error {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return err
 	}
 	seen := make(map[[sha256.Size]byte]bool)
+	visit := func(rec *walRecord, hash [sha256.Size]byte) error {
+		if upTo != 0 && rec.Seq > upTo {
+			return errReplayDone
+		}
+		if seen[hash] {
+			return nil
+		}
+		seen[hash] = true
+		return fn(rec.Seq, rec.Recipe)
+	}
 	var next uint64
 	for i, n := range segs {
-		last := i == len(segs)-1
-		stop, err := replaySegment(dir, n, last, upTo, &next, seen, fn)
+		path := filepath.Join(dir, segName(n))
+		f, err := os.Open(path)
 		if err != nil {
-			return err
+			return fmt.Errorf("ingest: opening wal segment: %w", err)
 		}
-		if stop {
+		_, err = readSegment(f, n, i == len(segs)-1, &next, visit)
+		f.Close()
+		if errors.Is(err, errReplayDone) || errors.Is(err, errTornHeader) {
 			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-// replaySegment walks one segment for Replay. stop reports that upTo
-// was passed and the walk is complete.
-func replaySegment(dir string, n int, last bool, upTo uint64, next *uint64,
-	seen map[[sha256.Size]byte]bool, fn func(uint64, json.RawMessage) error) (stop bool, err error) {
-	path := filepath.Join(dir, segName(n))
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("ingest: opening wal segment: %w", err)
-	}
-	defer f.Close()
-	br := newByteScanner(&countingReader{r: f})
-	var magic [len(walMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != walMagic {
-		if last {
-			return true, nil // torn header: no acknowledged data here
-		}
-		return false, fmt.Errorf("%s: wal segment magic missing: %w", path, ErrCorrupt)
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-		if last {
-			return true, nil
-		}
-		return false, fmt.Errorf("%s: wal segment header length missing: %w", path, ErrCorrupt)
-	}
-	hdrLen := binary.BigEndian.Uint32(lenBuf[:])
-	if hdrLen == 0 || hdrLen > maxWALHeaderLen {
-		if last {
-			return true, nil
-		}
-		return false, fmt.Errorf("%s: wal segment header length implausible: %w", path, ErrCorrupt)
-	}
-	hdrBytes := make([]byte, hdrLen)
-	if _, err := io.ReadFull(br, hdrBytes); err != nil {
-		if last {
-			return true, nil
-		}
-		return false, fmt.Errorf("%s: wal segment header truncated: %w", path, ErrCorrupt)
-	}
-	var hdr walSegmentHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		if last {
-			return true, nil
-		}
-		return false, fmt.Errorf("%s: wal segment header unparseable: %w", path, ErrCorrupt)
-	}
-	if hdr.Format != walFormat {
-		return false, fmt.Errorf("%s: wal segment format %d: %w", path, hdr.Format, ErrVersion)
-	}
-	for {
-		rec, ferr := readFrame(br)
-		if ferr == io.EOF {
-			return false, nil
-		}
-		if ferr != nil {
-			if last {
-				return true, nil // torn tail past the acknowledged prefix
-			}
-			return false, fmt.Errorf("%s: %w", path, ferr)
-		}
-		if rec.V > walRecordV {
-			return false, fmt.Errorf("%s: wal record v%d: %w", path, rec.V, ErrVersion)
-		}
-		if rec.Seq != *next+1 {
-			return false, fmt.Errorf("%s: wal record seq %d, want %d: %w", path, rec.Seq, *next+1, ErrCorrupt)
-		}
-		*next = rec.Seq
-		if upTo != 0 && rec.Seq > upTo {
-			return true, nil
-		}
-		hash, herr := decodeHash(rec.Hash)
-		if herr != nil {
-			return false, fmt.Errorf("%s: %w", path, herr)
-		}
-		if seen[hash] {
-			continue
-		}
-		seen[hash] = true
-		if err := fn(rec.Seq, rec.Recipe); err != nil {
-			return false, err
-		}
-	}
-}
+// errReplayDone is Replay's visitor signal that upTo was passed.
+var errReplayDone = errors.New("ingest: replay reached its upTo")
 
 // countingReader tracks bytes consumed from the underlying reader, so
-// the scanner can convert "last good frame" into a truncation offset.
+// readSegment can convert "last good frame" into a truncation offset.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -784,35 +709,4 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// byteScanner is a small buffered reader that exposes how many bytes
-// it holds ahead of the consumer — countingReader.n minus buffered()
-// is the consumer's true offset. bufio.Reader would work but its
-// Buffered() contract plus ReadFull interplay is exactly these few
-// lines anyway.
-type byteScanner struct {
-	r   io.Reader
-	buf []byte
-	off int
-	end int
-}
-
-func newByteScanner(r io.Reader) *byteScanner {
-	return &byteScanner{r: r, buf: make([]byte, 64<<10)}
-}
-
-func (b *byteScanner) buffered() int { return b.end - b.off }
-
-func (b *byteScanner) Read(p []byte) (int, error) {
-	if b.off == b.end {
-		n, err := b.r.Read(b.buf)
-		if n == 0 {
-			return 0, err
-		}
-		b.off, b.end = 0, n
-	}
-	n := copy(p, b.buf[b.off:b.end])
-	b.off += n
-	return n, nil
 }

@@ -391,7 +391,7 @@ func startupResume(opts Options) (*core.Snapshot, error) {
 // RunChain fits one Gibbs chain under the resilience supervisor. Every
 // chain runs through it: the single-chain fit and each shard of a
 // sharded fit. opts sets the supervision. With Supervise, the chain
-// gets a restart budget (MaxRestarts, default 3) and the health
+// gets a restart budget (MaxRestarts, used as given) and the health
 // thresholds (MaxLLDrop, SweepTimeout, at least one live topic), and
 // restarts and health events are counted into opts.Metrics. Without
 // it the budget is zero, so the chain runs once, exactly as core.Fit
@@ -423,9 +423,6 @@ func RunChain(ctx context.Context, data *core.Data, cfg core.Config, opts Option
 			cfg.Health.MinTopics = 1
 		}
 		sup.MaxRestarts = opts.MaxRestarts
-		if sup.MaxRestarts == 0 {
-			sup.MaxRestarts = 3
-		}
 		if reg := opts.Metrics; reg != nil {
 			superviseMetrics(reg, &cfg, sup)
 		}

@@ -47,7 +47,7 @@ type Options struct {
 	// not pick a code path: every chain runs through RunChain.
 	Supervise bool
 	// MaxRestarts bounds supervised recovery attempts after the first
-	// (default 3 when Supervise is set).
+	// (3 in DefaultOptions; 0 means none). Ignored without Supervise.
 	MaxRestarts int
 	// SweepTimeout arms the supervised stall watchdog: a sweep taking
 	// longer than this aborts the attempt. 0 disables the watchdog.
@@ -115,6 +115,7 @@ func DefaultOptions() Options {
 		FilterMinSim: 0.25,
 		FilterMargin: 0.15,
 		MaxUnrelated: 0.10,
+		MaxRestarts:  3,
 	}
 }
 

@@ -220,20 +220,13 @@ func WriteShardStatsFile(dir, name string, st *core.ShardStats) (string, error) 
 	return payloadDigestHex(body), nil
 }
 
-// LoadIngestWatermark reads the appended-since-fit watermark from
-// dir/manifest.shards. A missing or damaged manifest reads as zero —
-// the conservative answer: every ingest-log record counts as unseen,
-// and the next re-fit rewrites a clean manifest. Never an error,
-// because the watermark is advisory (it sizes the refit trigger);
-// correctness comes from the ingest log itself.
-func LoadIngestWatermark(dir string) uint64 {
-	seq, _ := LoadIngestState(dir)
-	return seq
-}
-
 // LoadIngestState reads the appended-since-fit watermark and the wall
-// time of the fit that set it from dir/manifest.shards, with the same
-// zero-on-missing posture as LoadIngestWatermark.
+// time of the fit that set it from dir/manifest.shards. A missing or
+// damaged manifest reads as zero — the conservative answer: every
+// ingest-log record counts as unseen, and the next re-fit rewrites a
+// clean manifest. Never an error, because the watermark is advisory
+// (it sizes the refit trigger); correctness comes from the ingest log
+// itself.
 func LoadIngestState(dir string) (seq uint64, lastFitUnix int64) {
 	m, err := LoadShardManifest(dir)
 	if err != nil {

@@ -268,6 +268,31 @@ func TestSupervisedResumeSkipsUnhealthyCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSupervisedRestartBudgetAsGiven: RunChain uses MaxRestarts as
+// given. A chain that turns NaN at sweep 5 on every attempt runs
+// exactly MaxRestarts+1 attempts: one with a budget of 0 (as
+// -supervise -max-restarts 0 asks), four with DefaultOptions' 3.
+func TestSupervisedRestartBudgetAsGiven(t *testing.T) {
+	data := superviseData(40)
+	cfg := superviseConfig(20)
+	cfg.Health.Perturb = func(sweep int, ll float64) float64 {
+		if sweep == 5 {
+			return math.NaN()
+		}
+		return ll
+	}
+	for _, budget := range []int{0, DefaultOptions().MaxRestarts} {
+		opts := Options{Supervise: true, MaxRestarts: budget}
+		_, incidents, err := RunChain(context.Background(), data, cfg, opts, "", nil, nil)
+		if !errors.Is(err, core.ErrUnhealthy) {
+			t.Fatalf("MaxRestarts=%d: err = %v, want ErrUnhealthy", budget, err)
+		}
+		if len(incidents) != budget+1 || incidents[len(incidents)-1].Action != resilience.ActionGaveUp {
+			t.Fatalf("MaxRestarts=%d: %d attempts (incidents %+v), want %d", budget, len(incidents), incidents, budget+1)
+		}
+	}
+}
+
 // TestSupervisedFitHealthMetrics: the supervised path must account for
 // health events, restarts, and rolled-back sweeps in the registry.
 func TestSupervisedFitHealthMetrics(t *testing.T) {
@@ -283,10 +308,11 @@ func TestSupervisedFitHealthMetrics(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	opts := Options{
-		Model:      cfg,
-		Supervise:  true,
-		Checkpoint: CheckpointOptions{Dir: t.TempDir(), Every: 10},
-		Metrics:    reg,
+		Model:       cfg,
+		Supervise:   true,
+		MaxRestarts: 3,
+		Checkpoint:  CheckpointOptions{Dir: t.TempDir(), Every: 10},
+		Metrics:     reg,
 	}
 	_, incidents, _, err := fitModel(data, opts)
 	if err != nil {
