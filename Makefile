@@ -8,7 +8,7 @@
 GO ?= go
 
 # Stable benchmark settings for the committed baseline: a time-based
-# benchtime so every benchmark — 2µs cache hits and 35ms sharded fits
+# benchtime so every benchmark — 2µs cache hits and 35ms parallel fits
 # alike — averages its ns/op over the same ~1s wall window (this box
 # sees hypervisor CPU steal that swings sub-millisecond windows 2x;
 # equal windows make the mean comparable across benchmarks), three
@@ -17,7 +17,7 @@ GO ?= go
 # ns/op.
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 3
-BENCH_PATTERN := BenchmarkServeAnnotate|BenchmarkServeAnnotateBatch|BenchmarkFoldInPlacement|BenchmarkFoldInSteadyState|BenchmarkGibbsSweep|BenchmarkBundleSave|BenchmarkBundleLoad|BenchmarkModelLoad|BenchmarkSupervisedFit|BenchmarkUnsupervisedFit|BenchmarkShardedFit|BenchmarkIngestAck|BenchmarkServeAnnotateFreshRecipe
+BENCH_PATTERN := BenchmarkServeAnnotate|BenchmarkServeAnnotateBatch|BenchmarkFoldInPlacement|BenchmarkFoldInSteadyState|BenchmarkGibbsSweep|BenchmarkBundleSave|BenchmarkBundleLoad|BenchmarkModelLoad|BenchmarkSupervisedFit|BenchmarkUnsupervisedFit|BenchmarkParallelFit|BenchmarkIngestAck|BenchmarkServeAnnotateFreshRecipe
 
 .PHONY: build test verify smoke bench-serve bench bench-compare bench-all bench-e2e profile fuzz-smoke pgo pgo-check
 
@@ -56,9 +56,9 @@ pgo-check:
 # paths involve watchdog goroutines, an async checkpoint writer, a
 # polling hot-swap loop, and flight-completion channels, so they must
 # stay race-clean. The client SDK's retry/taxonomy contract tests ride
-# along (they are httptest-only and fast), as does the whole sharded-fit
-# suite — the orchestrator runs shard workers concurrently and its
-# chaos/crash-resume tests are exactly the paths that must not race.
+# along (they are httptest-only and fast), as do the exact parallel
+# kernel's tests (Parallel) — its workers write disjoint recipes and
+# private count deltas, and that is exactly what must not race.
 # The online-ingest suite joins the gate in full: the WAL's group-commit
 # fsync, the kill -9 chaos harness, and the background refit controller
 # are concurrent durability machinery — the exact code this smoke exists
@@ -66,8 +66,7 @@ pgo-check:
 # supervisor with its background checkpoint writer and stall watchdog,
 # so the plain checkpoint and resume tests join the gate too.
 smoke:
-	$(GO) test -race -run 'Health|Supervis|Rollback|Checkpoint|Resume|Breaker|Robust|Store|Registry|Follower|Cache|Drain|Shard|Chaos|Stream|Ingest|WAL|Refit' ./internal/core ./internal/resilience ./internal/pipeline ./internal/storage ./internal/serve
-	$(GO) test -race ./internal/shardfit
+	$(GO) test -race -run 'Health|Supervis|Rollback|Checkpoint|Resume|Breaker|Robust|Store|Registry|Follower|Cache|Drain|Parallel|Chaos|Stream|Ingest|WAL|Refit' ./internal/core ./internal/resilience ./internal/pipeline ./internal/storage ./internal/serve
 	$(GO) test -race ./internal/ingest
 	$(GO) test -race ./client
 
@@ -138,7 +137,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime 0 ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzBundlePayload -fuzztime 10s -fuzzminimizetime 0 ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s -fuzzminimizetime 0 ./internal/pipeline
-	$(GO) test -run '^$$' -fuzz FuzzShardManifest -fuzztime 10s -fuzzminimizetime 0 ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz FuzzIngestWatermark -fuzztime 10s -fuzzminimizetime 0 ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzRegistryManifest -fuzztime 10s -fuzzminimizetime 0 ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime 10s -fuzzminimizetime 0 ./internal/textseg
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0 ./internal/units

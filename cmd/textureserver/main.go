@@ -44,7 +44,7 @@
 //	              [-refit-interval 15s] [-refit-base corpus.jsonl]
 //	              [-checkpoint-dir dir] [-checkpoint-every 25] [-resume]
 //	              [-supervise] [-max-restarts 3] [-sweep-timeout 0] [-max-ll-drop 0]
-//	              [-shards 1] [-shard-dir dir] [-log-every 50]
+//	              [-shards 1] [-log-every 50]
 //	              [-admin-token secret]
 //	              [-pool N] [-max-batch 64] [-cache] [-cache-size 4096]
 //	              [-request-timeout 5s] [-drain-timeout 10s]
@@ -74,7 +74,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
-	_ "repro/internal/shardfit" // registers the sharded fitter with the pipeline
 	"repro/internal/storage"
 )
 
@@ -153,9 +152,8 @@ func main() {
 	if *ingestDir != "" {
 		var err error
 		mgr, err = ingest.OpenManager(ingest.ManagerOptions{
-			Dir:      *ingestDir,
-			ShardDir: fit.ShardDir(),
-			Metrics:  metrics,
+			Dir:     *ingestDir,
+			Metrics: metrics,
 		})
 		if err != nil {
 			log.Fatalf("textureserver: ingest: %v", err)

@@ -9,7 +9,7 @@
 //	texturetopics [-scale 1.0] [-k 10] [-iters 300] [-seed 1]
 //	              [-collapsed] [-no-filter] [-no-emulsion]
 //	              [-stream corpus.jsonl] [-corpus-size 0] [-ingest-dir dir]
-//	              [-shards 1] [-shard-retries 2] [-straggler-timeout 0] [-shard-dir dir]
+//	              [-shards 1]
 //	              [-model-out model.json] [-bundle-out model.bundle]
 //	              [-store fs:DIR|mem:] [-publish-note text] [-promote]
 //	              [-checkpoint-dir dir] [-checkpoint-every 25] [-resume]
@@ -17,10 +17,11 @@
 //	              [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	              [-v] [-log-format text|json] [-log-every 50]
 //
-// The fit flags (-scale, -iters, the checkpoint, supervision and shard
-// flags, -log-every) are pipeline.FitFlags, shared with textureserver.
-// Every chain runs under the resilience supervisor; -supervise gives it
-// a restart budget and health thresholds instead of one attempt.
+// The fit flags (-scale, -iters, the checkpoint and supervision flags,
+// -shards, -log-every) are pipeline.FitFlags, shared with textureserver.
+// Every fit is one chain under the resilience supervisor; -supervise
+// gives it a restart budget and health thresholds instead of one
+// attempt, and -shards N runs it on N workers.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/report"
-	_ "repro/internal/shardfit" // registers the sharded fitter with the pipeline
 	"repro/internal/storage"
 )
 
@@ -49,13 +49,10 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "model seed")
 		collapsed = flag.Bool("collapsed", false, "use the collapsed sampler")
 		noFilter  = flag.Bool("no-filter", false, "disable the word2vec relatedness filter")
-		workers   = flag.Int("workers", 1, "parallel Gibbs workers (AD-LDA approximation when > 1)")
 		noEmu     = flag.Bool("no-emulsion", false, "drop the emulsion likelihood (gel-only ablation)")
 		stream    = flag.String("stream", "", "stream this JSONL corpus file record-at-a-time instead of generating in memory")
 		corpSize  = flag.Int("corpus-size", 0, "stream exactly this many synthetic recipes through ingestion without materializing them (overrides -scale)")
 		ingestDir = flag.String("ingest-dir", "", "fold this online-ingest WAL's records into the fit, appended after the -stream/-corpus-size base")
-		shardRtr  = flag.Int("shard-retries", 2, "orchestrator retries per failed shard (with -shards)")
-		stragTO   = flag.Duration("straggler-timeout", 0, "split and refit a shard attempt exceeding this duration (0 disables; with -shards)")
 		modelOut  = flag.String("model-out", "", "write the fitted model JSON to this file")
 		bundleOut = flag.String("bundle-out", "", "write the full serving bundle (model+docs+exclusions) to this file")
 		storeSpec = flag.String("store", "", "publish the bundle to this model store (fs:DIR, mem:, or a bare directory)")
@@ -102,17 +99,11 @@ func main() {
 		logger = obs.NewLogger(os.Stderr, *logFormat)
 	}
 	opts := fit.Options(logger)
-	// Unlike textureserver, texturetopics keeps no ingest watermark under
-	// -shard-dir, so a shard directory without -shards > 1 stays an error.
-	opts.ShardDir = fit.ShardDir()
 	opts.Model.K = *k
 	opts.Model.Seed = *seed
 	opts.Model.Collapsed = *collapsed
-	opts.Model.Workers = *workers
 	opts.Model.UseEmulsion = !*noEmu
 	opts.UseW2VFilter = !*noFilter
-	opts.ShardRetries = *shardRtr
-	opts.StragglerTimeout = *stragTO
 
 	var base pipeline.StreamSource
 	switch {
@@ -148,10 +139,6 @@ func main() {
 			fmt.Printf("corpus: %d recipes, %d kept (dropped: %d no-gel, %d no-texture, %d unrelated>10%%)\n",
 				len(out.AllRecipes), len(out.Kept),
 				out.FilterStats.NoGel, out.FilterStats.NoTexture, out.FilterStats.TooUnrelated)
-		}
-		if sh := out.Shards; sh != nil {
-			fmt.Printf("sharded fit: %d shards (%d resumed, %d fitted, %d retried, %d resharded)\n",
-				sh.ShardCount, sh.Resumed, sh.Fitted, sh.Retried, sh.Resharded)
 		}
 		for _, inc := range out.FitIncidents {
 			fmt.Printf("fit incident: attempt %d sweep %d %s → %s (%s)\n",

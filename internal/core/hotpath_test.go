@@ -261,7 +261,7 @@ func TestSweepScratchReuseKeepsChainsIndependent(t *testing.T) {
 }
 
 // TestFittingNeverRoutesThroughFloat32: the fitting sampler's entire
-// state — counts, components, scratch, parallel-shard buffers — and
+// state — counts, components, scratch, parallel worker buffers — and
 // the fold-in kernel's working set must contain no float32 anywhere.
 // A reflect walk over both types proves neither fitting nor serving
 // can route through reduced precision.

@@ -73,16 +73,6 @@ func (d *Data) Validate() (gelDim, emuDim int, err error) {
 // NumDocs returns the number of recipes.
 func (d *Data) NumDocs() int { return len(d.Words) }
 
-// Slice returns a view of the documents in [lo, hi) sharing the
-// underlying token and feature slices — the per-shard input of a
-// sharded fit. The bounds must satisfy 0 ≤ lo ≤ hi ≤ NumDocs.
-func (d *Data) Slice(lo, hi int) *Data {
-	if lo < 0 || hi < lo || hi > d.NumDocs() {
-		panic(fmt.Sprintf("core: Data.Slice(%d,%d) outside [0,%d]", lo, hi, d.NumDocs()))
-	}
-	return &Data{V: d.V, Words: d.Words[lo:hi], Gel: d.Gel[lo:hi], Emu: d.Emu[lo:hi]}
-}
-
 // Config controls inference.
 type Config struct {
 	K     int     // number of topics
@@ -110,12 +100,12 @@ type Config struct {
 	// subordinate role; BenchmarkAblationEmulsionWeight sweeps it.
 	EmulsionWeight float64
 
-	// Workers enables approximate-distributed Gibbs sampling (AD-LDA
-	// style) with this many goroutines. 0 or 1 runs the exact sequential
-	// kernel; >1 shards documents per sweep, trading exactness of the
-	// collapsed word counts within a sweep for near-linear speedup.
-	// Incompatible with Collapsed (whose sufficient statistics are
-	// inherently sequential).
+	// Workers > 1 runs the exact parallel kernel (sweepParallel) on
+	// this many goroutines: φ is drawn explicitly once per sweep, so the
+	// recipes are sampled independently and the chain does not depend
+	// on the worker count. 0 or 1 runs the sequential kernel, which
+	// integrates φ out. Incompatible with Collapsed (whose sufficient
+	// statistics are inherently sequential).
 	Workers int
 
 	// LearnAlpha re-estimates the symmetric Dirichlet concentration α

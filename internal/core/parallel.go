@@ -7,181 +7,141 @@ import (
 	"repro/internal/stats"
 )
 
-// sweepParallel runs one Gibbs pass with cfg.Workers goroutines using
-// the approximate-distributed scheme of AD-LDA (Newman et al. 2009):
-// documents are sharded; each worker samples its shard's z against a
-// private copy of the topic-word counts, and the copies' deltas are
-// merged after the barrier. Per-document state (ndk, Z, Y) is disjoint
-// across shards, so only the nkw/nk approximation deviates from the
-// sequential kernel — and it vanishes as the chain mixes. The y phase
-// is exactly parallel (its kernel reads only per-document counts and
-// the fixed components). Results are deterministic for a fixed worker
-// count; they differ from the sequential chain, like any AD-LDA run.
+// parallelSeedMix keys the per-recipe RNG streams of the parallel
+// kernel off the chain seed, apart from the chain's own stream.
+const parallelSeedMix = 0xE8AC7
+
+// sweepParallel runs one exact Gibbs pass on cfg.Workers goroutines.
+//
+// φ is drawn once from its conditional, φ_k ~ Dir(γ + N_·k), with the
+// chain's RNG. Given φ and the components, a recipe's z and y depend
+// only on that recipe's own counts:
+//
+//	p(z_dn = k) ∝ (N_dk^{-dn} + M_dk + α) · φ_kw
+//	p(y_d = k)  ∝ (N_dk + α) · N(g_d | μ_k, Λ_k) · N(e_d | m_k, L_k)^λ
+//
+// so recipes are sampled independently, each from an RNG reseeded from
+// (seed, sweep, recipe). Workers take contiguous recipe ranges and keep
+// their changes to the shared counts (N_kw, N_k, M_k) as integer
+// deltas, summed after the barrier. Neither the draws nor the sums
+// depend on how the recipes are split, so the chain is the same at
+// every worker count above one. The components are then drawn as in
+// the sequential kernel. A recipe's z and y are sampled together, so
+// the whole recipe phase is reported as the z phase.
 func (s *Sampler) sweepParallel(sweep int) (phaseTimes, error) {
 	var pt phaseTimes
 	s.ensureLogTab()
-	w := s.cfg.Workers
-	shards := ShardRanges(s.data.NumDocs(), w)
-	if len(shards) == 0 {
-		// No documents: the z and y phases are vacuous, but the
-		// components are still redrawn from their priors so the sweep
-		// count advances uniformly.
-		t := time.Now()
-		err := s.resampleComponents()
-		pt.components = time.Since(t)
-		return pt, err
-	}
-	// Per-shard scratch (count copies, weight buffers, RNGs) persists
-	// across sweeps: reseeding a pooled RNG reproduces the exact draw
-	// stream a freshly constructed one would emit, so determinism for a
-	// fixed worker count is untouched while the per-sweep K×V copy
-	// allocations disappear.
-	if len(s.scr.par) != len(shards) {
-		s.scr.par = make([]parShard, len(shards))
-		for i := range s.scr.par {
-			s.scr.par[i] = newParShard(s.data.V, s.cfg.K, s.gelDim, s.emuDim)
+	if s.scr.phi == nil {
+		s.scr.phi = make([][]float64, s.data.V)
+		for w := range s.scr.phi {
+			s.scr.phi[w] = make([]float64, s.cfg.K)
 		}
 	}
-	zStart := time.Now()
-
+	ranges := ShardRanges(s.data.NumDocs(), s.cfg.Workers)
+	for len(s.scr.par) < len(ranges) {
+		s.scr.par = append(s.scr.par, newParWorker(s.data.V, s.cfg.K, s.gelDim, s.emuDim))
+	}
+	t := time.Now()
+	s.drawPhi()
 	var wg sync.WaitGroup
-	for si, sh := range shards {
+	for i, r := range ranges {
 		wg.Add(1)
-		go func(si int, lo, hi int) {
+		go func(pw *parWorker, lo, hi int) {
 			defer wg.Done()
-			sc := &s.scr.par[si]
-			// Private copies of the shared counts.
-			nwk := sc.nwk
-			for v := range nwk {
-				copy(nwk[v], s.nwk[v])
+			for d := lo; d < hi && !s.aborted(); d++ {
+				s.sampleRecipe(d, sweep, pw)
 			}
-			nk := sc.nk
-			copy(nk, s.nk)
-			rng := sc.rng
-			rng.Reseed(s.cfg.Seed^0xAD1DA, uint64(sweep)<<16|uint64(si))
-
-			K := s.cfg.K
-			weights := sc.weights[:K]
-			alpha := s.cfg.Alpha
-			gamma := s.cfg.Gamma
-			gv := gamma * float64(s.data.V)
-			nk = nk[:K]
-			for d := lo; d < hi; d++ {
-				if s.aborted() {
-					// Cooperative watchdog stop: the partial sweep is
-					// abandoned by Run, so breaking between documents
-					// (counts still consistent) is safe.
-					break
-				}
-				ndk := s.ndk[d][:K]
-				zd := s.Z[d]
-				yd := s.Y[d]
-				for n, word := range s.data.Words[d] {
-					old := zd[n]
-					row := nwk[word][:K]
-					ndk[old]--
-					row[old]--
-					nk[old]--
-					// Same flat pass + single y fixup as the sequential
-					// kernel; bit-identical to the branching form.
-					for k := 0; k < K; k++ {
-						weights[k] = (float64(ndk[k]) + alpha) *
-							(float64(row[k]) + gamma) /
-							(float64(nk[k]) + gv)
-					}
-					weights[yd] = (float64(ndk[yd]) + 1 + alpha) *
-						(float64(row[yd]) + gamma) /
-						(float64(nk[yd]) + gv)
-					k := rng.CategoricalFast(weights)
-					zd[n] = k
-					ndk[k]++
-					row[k]++
-					nk[k]++
-				}
-			}
-			// Record the deltas against the shared state.
-			for v := range nwk {
-				srow, drow := s.nwk[v], sc.dnwk[v]
-				for k, c := range nwk[v] {
-					drow[k] = c - srow[k]
-				}
-			}
-			for k := range nk {
-				sc.dnk[k] = nk[k] - s.nk[k]
-			}
-		}(si, sh[0], sh[1])
+		}(&s.scr.par[i], r[0], r[1])
 	}
 	wg.Wait()
-	for si := range shards {
-		sc := &s.scr.par[si]
-		for v := range s.nwk {
-			row := s.nwk[v]
-			for k, dv := range sc.dnwk[v] {
-				row[k] += dv
+	for i := range ranges {
+		pw := &s.scr.par[i]
+		for w, row := range pw.dnwk {
+			dst := s.nwk[w]
+			for k, dv := range row {
+				dst[k] += dv
+				row[k] = 0
 			}
 		}
-		for k, dv := range sc.dnk {
-			s.nk[k] += dv
+		for k := range pw.dnk {
+			s.nk[k] += pw.dnk[k]
+			s.mk[k] += pw.dmk[k]
+			pw.dnk[k], pw.dmk[k] = 0, 0
 		}
 	}
-	pt.z = time.Since(zStart)
-	yStart := time.Now()
-
-	// y phase: exactly parallel (kernel reads ndk and the fixed
-	// components only).
-	for si, sh := range shards {
-		wg.Add(1)
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			sc := &s.scr.par[si]
-			rng := sc.rng
-			rng.Reseed(s.cfg.Seed^0x9D1DA, uint64(sweep)<<16|uint64(si))
-			K := s.cfg.K
-			logw := sc.logw[:K]
-			// The banks and log table are refreshed before the phase
-			// and read-only inside it, so sharing them across shards is
-			// race-free; only the diff/exp scratch is per-shard.
-			logTab := s.scr.logTab
-			emuBank := s.scr.emuBank
-			if !s.cfg.UseEmulsion {
-				emuBank = nil
-			}
-			for d := lo; d < hi; d++ {
-				if s.aborted() {
-					break
-				}
-				ndk := s.ndk[d][:K]
-				stats.ScoreTopics(logw, logTab, ndk, s.scr.gelBank, s.data.Gel[d], sc.gelDiff,
-					emuBank, s.data.Emu[d], s.cfg.EmulsionWeight, sc.emuDiff)
-				s.Y[d] = rng.CategoricalLogFused(logw, sc.catW)
-			}
-		}(si, sh[0], sh[1])
-	}
-	wg.Wait()
-	for k := range s.mk {
-		s.mk[k] = 0
-	}
-	for _, y := range s.Y {
-		s.mk[y]++
-	}
-	pt.y = time.Since(yStart)
-	cStart := time.Now()
+	pt.z = time.Since(t)
+	t = time.Now()
 	err := s.resampleComponents()
-	pt.components = time.Since(cStart)
+	pt.components = time.Since(t)
 	return pt, err
 }
 
-// parShard is one parallel worker's persistent working set: private
-// count copies, their deltas against the shared state, the sampling
-// buffers and a reseedable RNG. Reusing it across sweeps removes the
-// per-sweep K×V allocations without touching the draw streams — the
-// RNG is reseeded to the exact (seed, stream) pair a fresh one would
-// have used.
-type parShard struct {
-	nwk  [][]int // private vocab × topics copy
-	nk   []int
-	dnwk [][]int // deltas vs. the shared counts
+// drawPhi draws φ_k ~ Dir(γ + N_·k) for every topic, in topic order
+// from the chain's RNG, into the vocab-major table s.scr.phi.
+func (s *Sampler) drawPhi() {
+	phi := s.scr.phi
+	for k := 0; k < s.cfg.K; k++ {
+		sum := 0.0
+		for w, row := range phi {
+			row[k] = s.rng.Gamma(s.cfg.Gamma+float64(s.nwk[w][k]), 1)
+			sum += row[k]
+		}
+		for _, row := range phi {
+			row[k] /= sum
+		}
+	}
+}
+
+// sampleRecipe resamples recipe d's token topics and then its
+// concentration topic against the sweep's φ and the current
+// components, recording the changes to the shared counts in pw.
+func (s *Sampler) sampleRecipe(d, sweep int, pw *parWorker) {
+	pw.rng.Reseed(s.cfg.Seed^parallelSeedMix, uint64(sweep)<<32|uint64(d))
+	K := s.cfg.K
+	weights := pw.weights[:K]
+	ndk := s.ndk[d][:K]
+	zd := s.Z[d]
+	yd := s.Y[d]
+	alpha := s.cfg.Alpha
+	for n, word := range s.data.Words[d] {
+		old := zd[n]
+		ndk[old]--
+		row := s.scr.phi[word][:K]
+		for k := 0; k < K; k++ {
+			weights[k] = (float64(ndk[k]) + alpha) * row[k]
+		}
+		weights[yd] = (float64(ndk[yd]) + 1 + alpha) * row[yd]
+		k := pw.rng.CategoricalFast(weights)
+		ndk[k]++
+		if k != old {
+			zd[n] = k
+			pw.dnwk[word][old]--
+			pw.dnwk[word][k]++
+			pw.dnk[old]--
+			pw.dnk[k]++
+		}
+	}
+	emuBank := s.scr.emuBank
+	if !s.cfg.UseEmulsion {
+		emuBank = nil
+	}
+	logw := pw.logw[:K]
+	stats.ScoreTopics(logw, s.scr.logTab, ndk, s.scr.gelBank, s.data.Gel[d], pw.gelDiff,
+		emuBank, s.data.Emu[d], s.cfg.EmulsionWeight, pw.emuDiff)
+	if k := pw.rng.CategoricalLogFused(logw, pw.catW); k != yd {
+		s.Y[d] = k
+		pw.dmk[yd]--
+		pw.dmk[k]++
+	}
+}
+
+// parWorker is one parallel worker's persistent working set: its
+// deltas against the shared counts, its sampling buffers and a
+// reseedable RNG.
+type parWorker struct {
+	dnwk [][]int // vocab × topics
 	dnk  []int
+	dmk  []int
 
 	weights []float64
 	logw    []float64
@@ -192,18 +152,17 @@ type parShard struct {
 	rng *stats.RNG
 }
 
-func newParShard(v, k, gelDim, emuDim int) parShard {
-	return parShard{
-		nwk:     makeCountTable(v, k),
-		nk:      make([]int, k),
+func newParWorker(v, k, gelDim, emuDim int) parWorker {
+	return parWorker{
 		dnwk:    makeCountTable(v, k),
 		dnk:     make([]int, k),
+		dmk:     make([]int, k),
 		weights: make([]float64, k),
 		logw:    make([]float64, k),
 		catW:    make([]float64, k),
 		gelDiff: make([]float64, gelDim),
 		emuDiff: make([]float64, emuDim),
-		rng:     stats.NewRNG(0, 0), // reseeded before every use
+		rng:     stats.NewRNG(0, 0), // reseeded for every recipe
 	}
 }
 

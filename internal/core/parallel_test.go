@@ -1,7 +1,11 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestParallelRecoversStructure(t *testing.T) {
@@ -186,10 +190,10 @@ func TestParallelDeterministicState(t *testing.T) {
 	}
 }
 
-// TestParallelLogLikAgreesWithSequential: the AD-LDA approximation
-// must converge to the same posterior mass as the exact sequential
-// chain — mean post-burn-in log-likelihoods within a small relative
-// tolerance on a synthetic corpus.
+// TestParallelLogLikAgreesWithSequential: the parallel kernel samples
+// the same posterior as the sequential chain — mean post-burn-in
+// log-likelihoods within a small relative tolerance on a synthetic
+// corpus.
 func TestParallelLogLikAgreesWithSequential(t *testing.T) {
 	data, _ := synthData(102, 300)
 	tail := func(workers int) float64 {
@@ -247,4 +251,152 @@ func meanTail(trace []float64) float64 {
 		s += v
 	}
 	return s / float64(len(tail))
+}
+
+// runWorkers runs a chain of iters sweeps on the given worker count.
+func runWorkers(t *testing.T, data *Data, workers, iters int) *Sampler {
+	t.Helper()
+	cfg := smallCfg()
+	cfg.Workers = workers
+	cfg.Iterations = iters
+	s, err := NewSampler(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestParallelWorkerCountInvariant: the parallel kernel's draws do not
+// depend on how the recipes are split, so Z, Y and the log-likelihood
+// trace are identical at 2, 3 and 4 workers.
+func TestParallelWorkerCountInvariant(t *testing.T) {
+	data, _ := synthData(103, 90)
+	want := runWorkers(t, data, 2, 25)
+	for _, workers := range []int{3, 4} {
+		got := runWorkers(t, data, workers, 25)
+		if !reflect.DeepEqual(got.Z, want.Z) || !reflect.DeepEqual(got.Y, want.Y) {
+			t.Fatalf("%d workers: assignments differ from 2 workers", workers)
+		}
+		if !reflect.DeepEqual(got.LogLik, want.LogLik) {
+			t.Fatalf("%d workers: log-likelihood trace differs from 2 workers", workers)
+		}
+	}
+}
+
+// TestParallelResumeAtOtherWorkerCount: the snapshot names the kernel,
+// not the worker count, so a 2-worker chain's snapshot resumes at 4
+// workers onto the uninterrupted 2-worker chain.
+func TestParallelResumeAtOtherWorkerCount(t *testing.T) {
+	data, _ := synthData(104, 80)
+	want := runWorkers(t, data, 2, 30)
+	snap := runWorkers(t, data, 2, 12).Snapshot()
+	cfg := smallCfg()
+	cfg.Workers = 4
+	cfg.Iterations = 30
+	s, err := ResumeSampler(data, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.Z, want.Z) || !reflect.DeepEqual(s.Y, want.Y) || !reflect.DeepEqual(s.LogLik, want.LogLik) {
+		t.Fatal("2-worker snapshot resumed at 4 workers left the uninterrupted chain")
+	}
+}
+
+// TestParallelRecipeStepEnumeration checks the parallel kernel's
+// per-recipe step against its target by exact enumeration. K=2, V=3,
+// one recipe with two tokens; α, φ and the components are held fixed.
+// Repeating the recipe's z-then-y update is then a Gibbs chain on
+// (z_1, z_2, y) whose stationary law, with θ integrated out, is
+//
+//	p(z, y) ∝ ∏_k Γ(n_k + [y=k] + α) · ∏_n φ_{z_n,w_n} · N(g | y) · N(e | y)^λ
+//
+// where n_k counts the tokens with z_n = k. The thinned chain's state
+// frequencies must match that law under Pearson's chi-square. Dropping
+// the −1 self-count of eq. (2) from the z step fails this test.
+func TestParallelRecipeStepEnumeration(t *testing.T) {
+	const (
+		seed  = 20261019
+		steps = 400_000
+		thin  = 10
+		// χ² with 7 degrees of freedom (8 states): the 0.9999 quantile.
+		bound = 29.88
+		alpha = 0.5
+		lam   = 0.5
+	)
+	prior, err := stats.NewNormalWishart([]float64{0}, 1, 3, stats.Identity(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := []int{0, 2}
+	gel, emu := []float64{0.4}, []float64{0.2}
+	data := &Data{V: 3, Words: [][]int{words}, Gel: [][]float64{gel}, Emu: [][]float64{emu}}
+	cfg := Config{K: 2, Alpha: alpha, Gamma: 0.1, GelPrior: prior, EmuPrior: prior, Iterations: 1,
+		UseEmulsion: true, EmulsionWeight: lam, Workers: 2, RandomInit: true, Seed: seed}
+	s, err := NewSampler(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, means := range [][2]float64{{0, 0}, {1, 0.5}} {
+		if s.gelComp[k], err = newComponent([]float64{means[0]}, stats.Identity(1)); err != nil {
+			t.Fatal(err)
+		}
+		if s.emuComp[k], err = newComponent([]float64{means[1]}, stats.Identity(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.refreshBanks(); err != nil {
+		t.Fatal(err)
+	}
+	s.ensureLogTab()
+	// φ_k over the three words, stored vocab-major.
+	s.scr.phi = [][]float64{{0.5, 0.2}, {0.3, 0.3}, {0.2, 0.5}}
+
+	// The enumerated law over state = 4·z_1 + 2·z_2 + y.
+	var want [8]float64
+	total := 0.0
+	for st := range want {
+		z := []int{st >> 2, (st >> 1) & 1}
+		y := st & 1
+		var n [2]int
+		lp := 0.0
+		for i, k := range z {
+			n[k]++
+			lp += math.Log(s.scr.phi[words[i]][k])
+		}
+		for k := range n {
+			m := 0.0
+			if y == k {
+				m = 1
+			}
+			g, _ := math.Lgamma(float64(n[k]) + m + alpha)
+			lp += g
+		}
+		lp += s.gelComp[y].gauss.LogPdf(gel) + lam*s.emuComp[y].gauss.LogPdf(emu)
+		want[st] = math.Exp(lp)
+		total += want[st]
+	}
+
+	pw := newParWorker(data.V, cfg.K, 1, 1)
+	var got [8]int
+	for i := 0; i < steps; i++ {
+		s.sampleRecipe(0, i, &pw)
+		if (i+1)%thin == 0 {
+			got[s.Z[0][0]<<2|s.Z[0][1]<<1|s.Y[0]]++
+		}
+	}
+	chi2 := 0.0
+	for st := range want {
+		exp := float64(steps/thin) * want[st] / total
+		chi2 += (float64(got[st]) - exp) * (float64(got[st]) - exp) / exp
+	}
+	t.Logf("chi-square %.2f over 8 states (bound %.2f); counts %v", chi2, bound, got)
+	if chi2 > bound {
+		t.Fatalf("per-recipe step misses its conditional posterior: chi-square %.2f > %.2f", chi2, bound)
+	}
 }

@@ -144,12 +144,14 @@ type samplerScratch struct {
 	gelChol  *stats.Cholesky
 	emuChol  *stats.Cholesky
 
-	par []parShard // parallel-sweep worker state, sized on first use
+	// The parallel kernel's state, made on its first sweep: the
+	// sweep's φ draw (vocab × topics) and one working set per worker.
+	phi [][]float64
+	par []parWorker
 }
 
-// initScratch sizes the scratch for the sampler's shape. Parallel-shard
-// state is created lazily by sweepParallel (the shard count depends on
-// the live worker count).
+// initScratch sizes the scratch for the sampler's shape. The parallel
+// kernel's state is made lazily by sweepParallel.
 func (s *Sampler) initScratch() {
 	k := s.cfg.K
 	maxNd := 0

@@ -50,9 +50,13 @@ type Snapshot struct {
 	V          int    `json:"v"`
 	Docs       int    `json:"docs"`
 	Seed       uint64 `json:"seed"`
-	Workers    int    `json:"workers"`
+	Kernel     string `json:"kernel"`
 	Collapsed  bool   `json:"collapsed"`
 	Iterations int    `json:"iterations"`
+	// Workers is never written. Snapshots from before Kernel carry
+	// their worker count here; one above 1 means the retired AD-LDA
+	// kernel, whose chains no kernel continues.
+	Workers int `json:"workers,omitempty"`
 
 	Sweep  int       `json:"sweep"` // completed sweeps
 	Alpha  float64   `json:"alpha"` // current α (LearnAlpha mutates it)
@@ -88,7 +92,7 @@ func (s *Sampler) Snapshot() *Snapshot {
 		V:             s.data.V,
 		Docs:          s.data.NumDocs(),
 		Seed:          s.cfg.Seed,
-		Workers:       normWorkers(s.cfg.Workers),
+		Kernel:        s.cfg.kernel(),
 		Collapsed:     s.cfg.Collapsed,
 		Iterations:    s.cfg.Iterations,
 		Sweep:         s.sweep,
@@ -155,19 +159,43 @@ func ReadSnapshotJSON(r io.Reader) (*Snapshot, error) {
 	return &sn, nil
 }
 
-// normWorkers maps the two spellings of "sequential" (0 and 1) onto
-// one value so snapshots taken under either resume under either.
-func normWorkers(w int) int {
-	if w < 1 {
-		return 1
+// The sweep kernels a snapshot can name. The parallel kernel's chain
+// does not depend on its worker count, so a snapshot it wrote resumes
+// at any count above one; the sequential kernel's chain is another.
+const (
+	kernelSequential = "sequential"
+	kernelParallel   = "parallel"
+)
+
+func (c Config) kernel() string {
+	if c.Workers > 1 {
+		return kernelParallel
 	}
-	return w
+	return kernelSequential
+}
+
+// CheckKernel refuses, with ErrSnapshot, a snapshot that cfg's kernel
+// cannot continue: one another kernel wrote, or one written by the
+// retired AD-LDA kernel, which recorded a worker count above one and
+// no kernel.
+func (sn *Snapshot) CheckKernel(cfg Config) error {
+	kernel := sn.Kernel
+	if kernel == "" {
+		if sn.Workers > 1 {
+			return fmt.Errorf("core: snapshot written by the retired AD-LDA kernel (%d workers): %w", sn.Workers, ErrSnapshot)
+		}
+		kernel = kernelSequential
+	}
+	if kernel != cfg.kernel() {
+		return fmt.Errorf("core: snapshot of the %s kernel, config runs the %s kernel: %w", kernel, cfg.kernel(), ErrSnapshot)
+	}
+	return nil
 }
 
 // ResumeSampler rebuilds a Sampler from a Snapshot so that Run
 // continues the chain at the next sweep. data and cfg must describe
 // the same problem the snapshot was taken from — same document set,
-// topic count, seed, sampler mode, and worker count — or the restore
+// topic count, seed, sampler mode, and kernel — or the restore
 // is refused with ErrSnapshot; determinism guarantees are meaningless
 // across a silent mismatch. cfg.Iterations may differ (a resumed chain
 // can be extended or shortened); cfg.Alpha is superseded by the
@@ -192,12 +220,13 @@ func ResumeSampler(data *Data, cfg Config, sn *Snapshot) (*Sampler, error) {
 		return nil, fmt.Errorf("core: snapshot seed %d, config seed %d: %w", sn.Seed, cfg.Seed, ErrSnapshot)
 	case sn.Collapsed != cfg.Collapsed:
 		return nil, fmt.Errorf("core: snapshot collapsed=%v, config collapsed=%v: %w", sn.Collapsed, cfg.Collapsed, ErrSnapshot)
-	case normWorkers(sn.Workers) != normWorkers(cfg.Workers):
-		return nil, fmt.Errorf("core: snapshot taken with %d workers, config has %d: %w", sn.Workers, cfg.Workers, ErrSnapshot)
 	case sn.Sweep < 0:
 		return nil, fmt.Errorf("core: snapshot sweep %d negative: %w", sn.Sweep, ErrSnapshot)
 	case sn.Alpha <= 0:
 		return nil, fmt.Errorf("core: snapshot α=%g not positive: %w", sn.Alpha, ErrSnapshot)
+	}
+	if err := sn.CheckKernel(cfg); err != nil {
+		return nil, err
 	}
 	cfg.Alpha = sn.Alpha
 

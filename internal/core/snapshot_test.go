@@ -217,6 +217,8 @@ func TestResumeSamplerRejectsMismatch(t *testing.T) {
 	}{
 		{"seed", func(c *Config, sn *Snapshot, d *Data) { c.Seed++ }},
 		{"workers", func(c *Config, sn *Snapshot, d *Data) { c.Workers = 4 }},
+		{"kernel", func(c *Config, sn *Snapshot, d *Data) { sn.Kernel = kernelParallel }},
+		{"ad-lda", func(c *Config, sn *Snapshot, d *Data) { sn.Kernel, sn.Workers, c.Workers = "", 4, 4 }},
 		{"collapsed", func(c *Config, sn *Snapshot, d *Data) { c.Collapsed = true }},
 		{"topics", func(c *Config, sn *Snapshot, d *Data) { c.K = 5 }},
 		{"future-format", func(c *Config, sn *Snapshot, d *Data) { sn.FormatVersion = 99 }},
@@ -241,6 +243,29 @@ func TestResumeSamplerRejectsMismatch(t *testing.T) {
 				t.Fatalf("mismatch %q not rejected with ErrSnapshot; got %v", tc.name, err)
 			}
 		})
+	}
+}
+
+// TestResumeLegacySequentialSnapshot: a snapshot written before
+// snapshots named their kernel carries "workers": 1 and no kernel; it
+// is the sequential kernel's, so it still resumes there.
+func TestResumeLegacySequentialSnapshot(t *testing.T) {
+	cfg := snapshotTestConfig()
+	data, _ := synthData(7, 60)
+	var buf bytes.Buffer
+	if err := runKilled(t, data, cfg, 10).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(buf.Bytes(), []byte(`"kernel":"sequential"`), []byte(`"workers":1`), 1)
+	sn, err := ReadSnapshotJSON(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.Kernel != "" || sn.Workers != 1 {
+		t.Fatalf("legacy snapshot read as kernel %q, workers %d", sn.Kernel, sn.Workers)
+	}
+	if _, err := ResumeSampler(data, cfg, sn); err != nil {
+		t.Fatalf("legacy sequential snapshot refused: %v", err)
 	}
 }
 

@@ -11,8 +11,8 @@ type SweepStats struct {
 	Sweep int // 0-based sweep index
 
 	Total      time.Duration // whole sweep including log-likelihood
-	ZPhase     time.Duration // token-topic resampling
-	YPhase     time.Duration // concentration-topic resampling
+	ZPhase     time.Duration // token-topic resampling (the parallel kernel's φ draw and whole recipe phase)
+	YPhase     time.Duration // concentration-topic resampling (zero for the parallel kernel)
 	Components time.Duration // Normal-Wishart component redraws (zero in collapsed mode)
 
 	LogLik float64

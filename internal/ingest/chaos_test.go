@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pipeline"
 	"repro/internal/recipe"
 )
 
@@ -148,6 +149,11 @@ func runChaosRound(t *testing.T, dir string, round int, prevAcked uint64) uint64
 	if last < maxAcked {
 		t.Fatalf("round %d: recovered LastSeq %d < acknowledged %d — acked-record loss", round, last, maxAcked)
 	}
+	// The ingest watermark lives beside the segments. Recovery leaves it
+	// alone: it still holds the LastSeq the previous round recovered.
+	if wm, _ := pipeline.LoadIngestState(dir); wm < prevAcked || wm > last {
+		t.Fatalf("round %d: watermark %d after recovery, want within [%d, %d]", round, wm, prevAcked, last)
+	}
 
 	replayed := make(map[uint64]bool)
 	if err := Replay(dir, 0, func(seq uint64, doc json.RawMessage) error {
@@ -165,6 +171,10 @@ func runChaosRound(t *testing.T, dir string, round int, prevAcked uint64) uint64
 	// collapses, so replay must hold exactly 1..last.
 	if uint64(len(replayed)) != last {
 		t.Fatalf("round %d: replayed %d unique seqs, want %d", round, len(replayed), last)
+	}
+
+	if err := pipeline.SaveIngestWatermark(dir, last, 0); err != nil {
+		t.Fatalf("round %d: saving the watermark: %v", round, err)
 	}
 
 	// Idempotent recovery: a second open finds a fully healed log and

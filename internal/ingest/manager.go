@@ -1,6 +1,6 @@
 // Manager: the serving-side face of online ingestion. It owns the WAL,
-// tracks the appended-since-fit watermark (persisted in the shard
-// manifest, see pipeline.SaveIngestWatermark), and publishes the
+// tracks the appended-since-fit watermark (persisted beside the WAL's
+// segments, see pipeline.SaveIngestWatermark), and publishes the
 // metrics and status the satellite endpoints expose.
 package ingest
 
@@ -24,13 +24,9 @@ const (
 
 // ManagerOptions configures OpenManager.
 type ManagerOptions struct {
-	// Dir is the WAL directory. Required.
+	// Dir is the WAL directory, which also holds the ingest watermark
+	// (pipeline.IngestWatermarkFile). Required.
 	Dir string
-	// ShardDir is where the shard manifest carrying the ingest
-	// watermark lives — usually the same -shard-dir the re-fit uses.
-	// Empty keeps the watermark in memory only (tests; ephemeral
-	// deployments that refit from scratch anyway).
-	ShardDir string
 	// SegmentBytes is the WAL rotation threshold.
 	SegmentBytes int64
 	// Metrics registers the ingest metric family when non-nil.
@@ -66,10 +62,9 @@ type Status struct {
 // Manager wires the WAL to the watermark and the metric family. All
 // methods are safe for concurrent use.
 type Manager struct {
-	wal      *WAL
-	dir      string
-	shardDir string
-	clock    func() time.Time
+	wal   *WAL
+	dir   string
+	clock func() time.Time
 
 	watermark    atomic.Uint64
 	lastPromoted atomic.Int64
@@ -97,7 +92,6 @@ func OpenManager(opts ManagerOptions) (*Manager, error) {
 	m := &Manager{
 		wal:        w,
 		dir:        opts.Dir,
-		shardDir:   opts.ShardDir,
 		clock:      opts.Clock,
 		refitState: RefitIdle,
 	}
@@ -107,17 +101,14 @@ func OpenManager(opts ManagerOptions) (*Manager, error) {
 	// One clock for both halves: record timestamps (the WAL's) and the
 	// staleness arithmetic (the manager's) must agree under test clocks.
 	w.now = m.clock
-	if opts.ShardDir != "" {
-		// Both halves of the persisted state matter: the watermark sizes
-		// the refit trigger, and the last-fit time floors the staleness
-		// clock — without it, a restart with any pending record would
-		// measure staleness from the oldest record in the whole WAL
-		// (already fitted, possibly days old) and fire the age trigger
-		// spuriously.
-		seq, fitUnix := pipeline.LoadIngestState(opts.ShardDir)
-		m.watermark.Store(seq)
-		m.lastFitUnix.Store(fitUnix)
-	}
+	// Both halves of the persisted state matter: the watermark sizes the
+	// refit trigger, and the last-fit time floors the staleness clock —
+	// without it, a restart with any pending record would measure
+	// staleness from the oldest record in the whole WAL (already fitted,
+	// possibly days old) and fire the age trigger spuriously.
+	seq, fitUnix := pipeline.LoadIngestState(opts.Dir)
+	m.watermark.Store(seq)
+	m.lastFitUnix.Store(fitUnix)
 	if reg := opts.Metrics; reg != nil {
 		// The streaming fit pass owns the unlabeled ingest_records_total
 		// series; the WAL's arrivals are a distinct source.
@@ -228,7 +219,7 @@ func (m *Manager) failRefit(err error) {
 }
 
 // CommitFit advances the watermark to seq and records the promoted
-// generation, persisting both when a shard directory is configured.
+// generation, persisting both in the WAL directory.
 // The watermark write is the LAST step of a re-fit — a crash before it
 // re-runs an idempotent fit+publish+promote chain, never loses
 // records. A failed persist does not undo the commit: the promotion
@@ -238,10 +229,7 @@ func (m *Manager) failRefit(err error) {
 // save heals the on-disk copy.
 func (m *Manager) CommitFit(seq uint64, generation int64) error {
 	now := m.clock().Unix()
-	var saveErr error
-	if m.shardDir != "" {
-		saveErr = pipeline.SaveIngestWatermark(m.shardDir, seq, now)
-	}
+	saveErr := pipeline.SaveIngestWatermark(m.dir, seq, now)
 	if wm := m.watermark.Load(); seq > wm {
 		m.watermark.Store(seq)
 	}

@@ -14,11 +14,11 @@ import (
 )
 
 // TestManagerWatermarkPersistence: CommitFit writes the watermark into
-// the shard manifest, a fresh manager over the same directories reads
-// it back, and RecordsSinceFit counts exactly the records past it.
+// the WAL directory, a fresh manager over the same directory reads it
+// back, and RecordsSinceFit counts exactly the records past it.
 func TestManagerWatermarkPersistence(t *testing.T) {
-	walDir, shardDir := t.TempDir(), t.TempDir()
-	m, err := OpenManager(ManagerOptions{Dir: walDir, ShardDir: shardDir})
+	walDir := t.TempDir()
+	m, err := OpenManager(ManagerOptions{Dir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestManagerWatermarkPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := OpenManager(ManagerOptions{Dir: walDir, ShardDir: shardDir})
+	m2, err := OpenManager(ManagerOptions{Dir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestManagerWatermarkPersistence(t *testing.T) {
 	if got := m2.Watermark(); got != 3 {
 		t.Fatalf("watermark after reopen = %d, want 3", got)
 	}
-	if got, _ := pipeline.LoadIngestState(shardDir); got != 3 {
+	if got, _ := pipeline.LoadIngestState(walDir); got != 3 {
 		t.Fatalf("LoadIngestState = %d, want 3", got)
 	}
 	// Monotone: a stale commit (an older refit finishing late) cannot
@@ -59,7 +59,7 @@ func TestManagerWatermarkPersistence(t *testing.T) {
 	if got := m2.Watermark(); got != 3 {
 		t.Fatalf("stale commit moved the watermark to %d", got)
 	}
-	if got, _ := pipeline.LoadIngestState(shardDir); got != 3 {
+	if got, _ := pipeline.LoadIngestState(walDir); got != 3 {
 		t.Fatalf("stale commit persisted watermark %d", got)
 	}
 }
@@ -168,11 +168,13 @@ func TestManagerMetricsExposition(t *testing.T) {
 // error reaches the caller, and the lag is surfaced as the refit
 // error.
 func TestManagerCommitFitPersistFailure(t *testing.T) {
-	badShardDir := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(badShardDir, []byte("occupied"), 0o644); err != nil {
+	walDir := t.TempDir()
+	// A directory where the watermark file belongs: the save's rename
+	// onto it fails.
+	if err := os.Mkdir(filepath.Join(walDir, pipeline.IngestWatermarkFile), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenManager(ManagerOptions{Dir: t.TempDir(), ShardDir: badShardDir})
+	m, err := OpenManager(ManagerOptions{Dir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestManagerCommitFitPersistFailure(t *testing.T) {
 	}
 	m.beginRefit()
 	if err := m.CommitFit(1, 9); err == nil {
-		t.Fatal("CommitFit with an unwritable shard dir reported success")
+		t.Fatal("CommitFit with an unwritable watermark reported success")
 	}
 	st := m.Status()
 	if st.RefitState != RefitIdle {
@@ -202,10 +204,10 @@ func TestManagerCommitFitPersistFailure(t *testing.T) {
 // the WAL — otherwise one pending record after a restart would trip
 // the -refit-age trigger immediately and spuriously.
 func TestManagerStalenessSurvivesRestart(t *testing.T) {
-	walDir, shardDir := t.TempDir(), t.TempDir()
+	walDir := t.TempDir()
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
-	m, err := OpenManager(ManagerOptions{Dir: walDir, ShardDir: shardDir, Clock: clock})
+	m, err := OpenManager(ManagerOptions{Dir: walDir, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestManagerStalenessSurvivesRestart(t *testing.T) {
 	}
 
 	now = now.Add(30 * time.Second)
-	m2, err := OpenManager(ManagerOptions{Dir: walDir, ShardDir: shardDir, Clock: clock})
+	m2, err := OpenManager(ManagerOptions{Dir: walDir, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,9 @@ type RefitOptions struct {
 	// Base is the frozen corpus the WAL grows on top of (JSONL — a
 	// FileSource or GeneratedSource). Nil fits from the WAL alone.
 	Base pipeline.StreamSource
-	// Pipeline is the fit configuration template. Supervise/ShardCount/
-	// ShardDir flow through unchanged, so a sharded, supervised,
-	// resumable re-fit is just the flags the batch path already takes.
+	// Pipeline is the fit configuration template. Supervise and
+	// ShardCount flow through unchanged, so a multi-worker, supervised
+	// re-fit is just the flags the batch path already takes.
 	Pipeline pipeline.Options
 	// Registry receives the merged bundle. Required.
 	Registry *storage.Registry
@@ -154,7 +154,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // RefitOnce executes one full re-fit cycle against a frozen WAL
 // snapshot: fit (base + WAL ≤ snapshot), publish, promote, advance
 // watermark. Every step is idempotent — the stream source replays
-// identical bytes, the fit is deterministic (resumable via ShardDir),
+// identical bytes, the fit is deterministic,
 // Publish content-addresses, Promote no-ops on re-promotion — so a
 // crash between any two steps makes the next run converge on the same
 // generation rather than fork history. Returns the promoted

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,7 +95,6 @@ type refitRig struct {
 	outage *switchableFault
 	ref    *Refitter
 	walDir string
-	shard  string
 	base   []byte
 }
 
@@ -101,7 +102,6 @@ func newRefitRig(t *testing.T, minRecords uint64) *refitRig {
 	t.Helper()
 	rig := &refitRig{
 		walDir: t.TempDir(),
-		shard:  t.TempDir(),
 		base:   baseCorpus(t, 120),
 		outage: &switchableFault{err: errors.New("store unplugged")},
 	}
@@ -109,7 +109,7 @@ func newRefitRig(t *testing.T, minRecords uint64) *refitRig {
 	kv.Faults = rig.outage
 	rig.reg = storage.NewRegistry(kv)
 	var err error
-	rig.mgr, err = OpenManager(ManagerOptions{Dir: rig.walDir, ShardDir: rig.shard})
+	rig.mgr, err = OpenManager(ManagerOptions{Dir: rig.walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRefitOnceFoldsWALAndPromotes(t *testing.T) {
 	if got := rig.mgr.Watermark(); got != snapshot {
 		t.Fatalf("watermark = %d, want %d", got, snapshot)
 	}
-	if got, _ := pipeline.LoadIngestState(rig.shard); got != snapshot {
+	if got, _ := pipeline.LoadIngestState(rig.walDir); got != snapshot {
 		t.Fatalf("persisted watermark = %d, want %d", got, snapshot)
 	}
 	if st := rig.mgr.Status(); st.RefitState != RefitIdle || st.LastPromoted != gen.ID {
@@ -209,6 +209,9 @@ func TestRefitCrashConvergence(t *testing.T) {
 
 	// Simulate the crash: a fresh process whose watermark never made it
 	// to disk re-runs the whole cycle over the same WAL.
+	if err := os.Remove(filepath.Join(rig.walDir, pipeline.IngestWatermarkFile)); err != nil {
+		t.Fatal(err)
+	}
 	mgr2, err := OpenManager(ManagerOptions{Dir: rig.walDir})
 	if err != nil {
 		t.Fatal(err)

@@ -319,37 +319,25 @@ func (st *FitCheckpointStore) Discard(reason string) error {
 	return err
 }
 
-// fitModel runs the model stage: the sharded fitter when ShardCount >
-// 1, else one chain. The incident slice is non-empty only when a
-// supervised chain needed recovery; the summary is non-nil only for
-// sharded fits.
-func fitModel(data *core.Data, opts Options) (*core.Result, []resilience.Incident, *ShardFitSummary, error) {
+// fitModel runs the model stage: one chain, on ShardCount workers when
+// that is above one. The incident slice is non-empty only when a
+// supervised chain needed recovery.
+func fitModel(data *core.Data, opts Options) (*core.Result, []resilience.Incident, error) {
 	if opts.ShardCount > 1 {
-		if shardFitter == nil {
-			return nil, nil, nil, fmt.Errorf("%w: ShardCount=%d but no shard fitter is registered (import repro/internal/shardfit)",
-				ErrOptions, opts.ShardCount)
-		}
-		res, sum, err := shardFitter(data, opts)
-		if err != nil {
-			var inc []resilience.Incident
-			if sum != nil {
-				inc = sum.Incidents
-			}
-			return nil, inc, sum, err
-		}
-		return res, sum.Incidents, sum, nil
+		opts.Model.Workers = opts.ShardCount
 	}
 	initial, err := startupResume(opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	res, incidents, err := RunChain(context.Background(), data, opts.Model, opts, opts.Checkpoint.Dir, initial, nil)
-	return res, incidents, nil, err
+	return RunChain(context.Background(), data, opts, initial)
 }
 
-// startupResume loads the checkpoint a resumed single-chain fit starts
-// from: nil when Checkpoint.Resume is off or there is nothing to resume
-// yet. Unsupervised, a checkpoint that cannot be resumed is an error.
+// startupResume loads the checkpoint a resumed fit starts from: nil
+// when Checkpoint.Resume is off or there is nothing to resume yet. A
+// checkpoint another kernel wrote cannot be resumed (see
+// core.Snapshot.CheckKernel). Unsupervised, a checkpoint that cannot be
+// resumed is an error.
 // Supervised, a diverged or damaged one is retired and the fit starts
 // fresh: self-healing means starting over and saying so.
 func startupResume(opts Options) (*core.Snapshot, error) {
@@ -364,6 +352,9 @@ func startupResume(opts Options) (*core.Snapshot, error) {
 		sn, err = st.LoadHealthy()
 	} else {
 		sn, err = LoadCheckpointFile(ck.Dir)
+	}
+	if err == nil {
+		err = sn.CheckKernel(opts.Model)
 	}
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
@@ -388,33 +379,32 @@ func startupResume(opts Options) (*core.Snapshot, error) {
 	return sn, nil
 }
 
-// RunChain fits one Gibbs chain under the resilience supervisor. Every
-// chain runs through it: the single-chain fit and each shard of a
-// sharded fit. opts sets the supervision. With Supervise, the chain
-// gets a restart budget (MaxRestarts, used as given) and the health
-// thresholds (MaxLLDrop, SweepTimeout, at least one live topic), and
-// restarts and health events are counted into opts.Metrics. Without
-// it the budget is zero, so the chain runs once, exactly as core.Fit
-// would. A non-empty ckDir receives a checkpoint every
+// RunChain fits the chain opts.Model describes under the resilience
+// supervisor. Every fit runs through it, whatever its worker count.
+// opts sets the supervision. With Supervise, the chain gets a restart
+// budget (MaxRestarts, used as given) and the health thresholds
+// (MaxLLDrop, SweepTimeout, at least one live topic), and restarts and
+// health events are counted into opts.Metrics. Without it the budget
+// is zero, so the chain runs once, exactly as core.Fit would. A
+// non-empty Checkpoint.Dir receives a checkpoint every
 // Checkpoint.Every sweeps (default 25), the rollback target of a
 // restart. initial, when non-nil, is the checkpoint the first attempt
-// resumes; capture is resilience.Supervisor.Capture.
-func RunChain(ctx context.Context, data *core.Data, cfg core.Config, opts Options, ckDir string,
-	initial *core.Snapshot, capture func(*core.Sampler)) (*core.Result, []resilience.Incident, error) {
+// resumes.
+func RunChain(ctx context.Context, data *core.Data, opts Options, initial *core.Snapshot) (*core.Result, []resilience.Incident, error) {
+	cfg := opts.Model
 	sup := &resilience.Supervisor{
 		Backoff: resilience.Backoff{
 			Base: 50 * time.Millisecond,
 			Max:  2 * time.Second,
 			Seed: cfg.Seed,
 		},
-		Capture: capture,
 	}
-	if ckDir != "" {
+	if dir := opts.Checkpoint.Dir; dir != "" {
 		cfg.CheckpointEvery = opts.Checkpoint.Every
 		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = 25
 		}
-		sup.Store = &FitCheckpointStore{Dir: ckDir, Metrics: opts.Metrics}
+		sup.Store = &FitCheckpointStore{Dir: dir, Metrics: opts.Metrics}
 	}
 	if opts.Supervise {
 		cfg.Health.MaxLLDrop = opts.MaxLLDrop

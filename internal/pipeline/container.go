@@ -1,7 +1,7 @@
 // Durable container format (format version 2).
 //
-// Everything the pipeline persists — model bundles, fit checkpoints —
-// shares one on-disk envelope built for crash safety and integrity:
+// Everything the pipeline persists — model bundles, fit checkpoints,
+// the ingest watermark — shares one on-disk envelope built for crash safety and integrity:
 //
 //	offset 0   magic "RHEODUR1" (8 bytes)
 //	offset 8   header length H, uint32 big-endian
@@ -23,7 +23,7 @@
 // fit record (docs, θ, Y), so a server inflates the first part and
 // stops (LoadModel). Schema 2, the same columns with the fit record
 // first, and schema 1, a JSON document, are still read but no longer
-// written. Checkpoints and shard files carry JSON.
+// written. Checkpoints carry gzipped JSON, the watermark plain JSON.
 package pipeline
 
 import (
@@ -39,13 +39,12 @@ import (
 )
 
 const (
-	containerMagic    = "RHEODUR1"
-	containerFormat   = 2
-	maxHeaderLen      = 1 << 16 // a header is a few hundred bytes; anything huge is garbage
-	kindBundle        = "bundle"
-	kindCheckpoint    = "checkpoint"
-	kindShardStats    = "shardstats"
-	kindShardManifest = "shardmanifest"
+	containerMagic      = "RHEODUR1"
+	containerFormat     = 2
+	maxHeaderLen        = 1 << 16 // a header is a few hundred bytes; anything huge is garbage
+	kindBundle          = "bundle"
+	kindCheckpoint      = "checkpoint"
+	kindIngestWatermark = "ingestwatermark"
 )
 
 // Typed load errors. Every rejected load wraps exactly one of these,
@@ -105,8 +104,8 @@ func writeContainer(w io.Writer, kind string, schema int, payload []byte, health
 	return nil
 }
 
-// gzipJSON is the payload codec of checkpoints and shard statistics:
-// it gzips the JSON that encode writes.
+// gzipJSON is the payload codec of checkpoints: it gzips the JSON that
+// encode writes.
 func gzipJSON(what string, encode func(io.Writer) error) ([]byte, error) {
 	var body bytes.Buffer
 	gz := gzip.NewWriter(&body)

@@ -20,7 +20,6 @@ type FitFlags struct {
 	sweepTimeout    time.Duration
 	maxLLDrop       float64
 	shards          int
-	shardDir        string
 	logEvery        int
 }
 
@@ -36,17 +35,13 @@ func RegisterFitFlags(fs *flag.FlagSet) *FitFlags {
 	fs.IntVar(&f.maxRestarts, "max-restarts", 3, "supervised recovery attempts after the first (with -supervise)")
 	fs.DurationVar(&f.sweepTimeout, "sweep-timeout", 0, "supervised stall watchdog: abort a sweep exceeding this duration (0 disables)")
 	fs.Float64Var(&f.maxLLDrop, "max-ll-drop", 0, "supervised divergence threshold: abort when log-likelihood drops this far below the best sweep (0 disables)")
-	fs.IntVar(&f.shards, "shards", 1, "fit the corpus as this many shards merged by sufficient statistics")
-	fs.StringVar(&f.shardDir, "shard-dir", "", "durable shard manifest + statistics directory; a killed sharded fit resumes from it (textureserver also keeps its ingest watermark here)")
+	fs.IntVar(&f.shards, "shards", 1, "Gibbs workers of the one chain; above 1 runs the exact parallel kernel")
 	fs.IntVar(&f.logEvery, "log-every", 50, "log fitting progress every N sweeps (0 disables; texturetopics logs only with -v)")
 	return f
 }
 
 // Options returns DefaultOptions with the flags applied; with a
 // non-nil logger the fit logs its progress every -log-every sweeps.
-// ShardDir is set only for a sharded fit (-shards > 1): textureserver
-// keeps its ingest watermark under -shard-dir, so a single-chain fit
-// must accept one.
 func (f *FitFlags) Options(logger *slog.Logger) Options {
 	o := DefaultOptions()
 	o.Corpus.Scale = f.scale
@@ -58,12 +53,5 @@ func (f *FitFlags) Options(logger *slog.Logger) Options {
 	o.SweepTimeout = f.sweepTimeout
 	o.MaxLLDrop = f.maxLLDrop
 	o.ShardCount = f.shards
-	if f.shards > 1 {
-		o.ShardDir = f.shardDir
-	}
 	return o
 }
-
-// ShardDir returns -shard-dir whatever -shards says: textureserver
-// keeps its ingest watermark there even for a single-chain fit.
-func (f *FitFlags) ShardDir() string { return f.shardDir }

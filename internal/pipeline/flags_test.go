@@ -5,29 +5,20 @@ import (
 	"testing"
 )
 
-// TestFitFlagsShardDirNeedsShards: textureserver keeps its ingest
-// watermark under -shard-dir, so -shard-dir with the default -shards 1
-// must build options that validate (the shard directory is dropped);
-// with -shards 2 the directory serves the sharded fit.
-func TestFitFlagsShardDirNeedsShards(t *testing.T) {
-	for _, tc := range []struct {
-		args    []string
-		wantDir string
-	}{
-		{[]string{"-shard-dir", "shards"}, ""},
-		{[]string{"-shard-dir", "shards", "-shards", "2"}, "shards"},
-	} {
-		fs := flag.NewFlagSet("fit", flag.ContinueOnError)
-		f := RegisterFitFlags(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		opts := f.Options(nil)
-		if err := opts.validate(); err != nil {
-			t.Fatalf("%v: %v", tc.args, err)
-		}
-		if opts.ShardDir != tc.wantDir {
-			t.Fatalf("%v: ShardDir = %q, want %q", tc.args, opts.ShardDir, tc.wantDir)
-		}
+// TestFitFlagsShards: -shards sets the fit's worker count, and the
+// options it builds validate beside -checkpoint-dir, since a
+// multi-worker fit is one checkpointed chain.
+func TestFitFlagsShards(t *testing.T) {
+	fs := flag.NewFlagSet("fit", flag.ContinueOnError)
+	f := RegisterFitFlags(fs)
+	if err := fs.Parse([]string{"-shards", "2", "-checkpoint-dir", "ck"}); err != nil {
+		t.Fatal(err)
+	}
+	opts := f.Options(nil)
+	if err := opts.validate(); err != nil {
+		t.Fatal(err)
+	}
+	if opts.ShardCount != 2 || opts.Checkpoint.Dir != "ck" {
+		t.Fatalf("ShardCount %d, Checkpoint.Dir %q; want 2 and \"ck\"", opts.ShardCount, opts.Checkpoint.Dir)
 	}
 }

@@ -178,15 +178,14 @@ func checkPayloadDecode(t *testing.T, data []byte, decode func([]byte) (*Output,
 	}
 }
 
-// FuzzShardManifest drives arbitrary bytes through the shard-manifest
-// loader: never panic, every rejection typed, every accepted manifest
-// internally consistent (Validate runs inside the loader).
-func FuzzShardManifest(f *testing.F) {
+// FuzzIngestWatermark drives arbitrary bytes through the watermark
+// loader: never panic, and every rejection typed.
+func FuzzIngestWatermark(f *testing.F) {
 	dir := f.TempDir()
-	if err := SaveShardManifest(dir, validManifest()); err != nil {
+	if err := SaveIngestWatermark(dir, 42, 1_700_000_000); err != nil {
 		f.Fatal(err)
 	}
-	good, err := os.ReadFile(filepath.Join(dir, ShardManifestFile))
+	good, err := os.ReadFile(filepath.Join(dir, IngestWatermarkFile))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -199,18 +198,9 @@ func FuzzShardManifest(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := readShardManifest(bytes.NewReader(data))
-		if err == nil {
-			if m == nil {
-				t.Fatal("nil manifest without error")
-			}
-			if verr := m.Validate(); verr != nil {
-				t.Fatalf("loader accepted an invalid manifest: %v", verr)
-			}
-			return
-		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrKind) {
-			t.Fatalf("untyped manifest error: %v", err)
+		if _, err := readIngestWatermark(data); err != nil &&
+			!errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrKind) {
+			t.Fatalf("untyped watermark error: %v", err)
 		}
 	})
 }

@@ -42,9 +42,8 @@ type Options struct {
 	// Supervise gives every chain of the fit a restart budget
 	// (MaxRestarts) and the health thresholds (MaxLLDrop, SweepTimeout,
 	// at least one live topic); an unhealthy chain rolls back to its
-	// last healthy checkpoint or restarts reseeded. It also makes a
-	// sharded fit write per-shard checkpoints under ShardDir. It does
-	// not pick a code path: every chain runs through RunChain.
+	// last healthy checkpoint or restarts reseeded. It does not pick a
+	// code path: every chain runs through RunChain.
 	Supervise bool
 	// MaxRestarts bounds supervised recovery attempts after the first
 	// (3 in DefaultOptions; 0 means none). Ignored without Supervise.
@@ -58,29 +57,11 @@ type Options struct {
 	// fatal under supervision).
 	MaxLLDrop float64
 
-	// ShardCount > 1 partitions the documents into that many contiguous
-	// shards, fits each as an independent supervised chain, and merges
-	// the shards' sufficient statistics into one model — the
-	// corpus-scale fault-tolerant fit (internal/shardfit, which must be
-	// imported to register the fitter). Incompatible with
-	// Checkpoint.Dir (shards checkpoint under ShardDir) and
-	// Model.LearnAlpha (α must stay fixed and shared across shards for
-	// the statistics to merge).
+	// ShardCount > 1 runs the chain on that many workers: it sets
+	// Model.Workers, which selects core's exact parallel kernel. The
+	// fit is one chain whatever the count, checkpointed and resumed
+	// like any other.
 	ShardCount int
-	// ShardRetries bounds orchestrator-level retries per shard after a
-	// worker dies (default 2). Retries replay the shard's own seed, so a
-	// killed-and-retried worker reproduces its statistics bit-for-bit.
-	ShardRetries int
-	// StragglerTimeout, when positive, is the wall-clock budget of one
-	// shard attempt. A shard that exhausts it (and its retries) is split
-	// in half and the halves fitted separately — progress over
-	// replaying the straggler forever.
-	StragglerTimeout time.Duration
-	// ShardDir, when non-empty, makes the sharded fit resumable: a
-	// digest-checked manifest plus per-shard statistics files are
-	// maintained there, and a restarted run refits only the shards that
-	// were not durably fitted yet. Requires ShardCount > 1.
-	ShardDir string
 
 	// Metrics, when non-nil, receives stage timings
 	// (pipeline_stage_seconds{stage=…}) and per-sweep sampler telemetry
@@ -138,42 +119,9 @@ type Output struct {
 	// chain has no restart budget, so any incident fails the fit). Not
 	// persisted in bundles.
 	FitIncidents []resilience.Incident
-	// Shards summarizes the sharded fit when ShardCount > 1 (nil
-	// otherwise). Not persisted in bundles.
-	Shards *ShardFitSummary
 	// Ingest reports what the streaming decoder skipped (RunStream only).
 	Ingest *recipe.DecodeReport
 }
-
-// ShardFitSummary is the orchestrator's account of a sharded fit —
-// what /statusz shows and what the chaos/resume tests assert on.
-type ShardFitSummary struct {
-	// ShardCount is the number of shards after any resharding.
-	ShardCount int `json:"shard_count"`
-	// Resumed counts shards whose statistics were reused from the shard
-	// directory instead of being refitted.
-	Resumed int `json:"resumed"`
-	// Fitted counts shards fitted (or refitted) by this run.
-	Fitted int `json:"fitted"`
-	// Retried counts orchestrator-level worker retries after failures.
-	Retried int `json:"retried"`
-	// Resharded counts shards that were split after straggler timeouts.
-	Resharded int `json:"resharded"`
-	// Incidents aggregates the per-shard supervisors' recovery history.
-	Incidents []resilience.Incident `json:"incidents,omitempty"`
-}
-
-// ShardFitter is the sharded-fit entry point. internal/shardfit
-// registers its orchestrator here at init; the indirection keeps the
-// pipeline free of an import cycle (shardfit builds on the pipeline's
-// durable shard files).
-type ShardFitter func(data *core.Data, opts Options) (*core.Result, *ShardFitSummary, error)
-
-var shardFitter ShardFitter
-
-// RegisterShardFitter installs the sharded-fit implementation used
-// when Options.ShardCount > 1. Called from internal/shardfit's init.
-func RegisterShardFitter(f ShardFitter) { shardFitter = f }
 
 // ErrOptions marks an Options combination the pipeline refuses to run.
 var ErrOptions = errors.New("pipeline: invalid options")
@@ -192,25 +140,6 @@ func (o *Options) validate() error {
 	}
 	if o.ShardCount < 0 {
 		return fmt.Errorf("%w: ShardCount=%d negative", ErrOptions, o.ShardCount)
-	}
-	if o.ShardRetries < 0 {
-		return fmt.Errorf("%w: ShardRetries=%d negative", ErrOptions, o.ShardRetries)
-	}
-	if o.StragglerTimeout < 0 {
-		return fmt.Errorf("%w: StragglerTimeout=%v negative", ErrOptions, o.StragglerTimeout)
-	}
-	if o.ShardCount > 1 {
-		switch {
-		case o.Checkpoint.Dir != "":
-			return fmt.Errorf("%w: ShardCount=%d with Checkpoint.Dir (shard checkpoints live under ShardDir)",
-				ErrOptions, o.ShardCount)
-		case o.Model.LearnAlpha:
-			return fmt.Errorf("%w: ShardCount=%d with Model.LearnAlpha (α must stay fixed and shared for shard statistics to merge)",
-				ErrOptions, o.ShardCount)
-		}
-	} else if o.ShardDir != "" {
-		return fmt.Errorf("%w: ShardDir set but ShardCount=%d (the shard directory only serves a sharded fit)",
-			ErrOptions, o.ShardCount)
 	}
 	return nil
 }
@@ -314,9 +243,8 @@ func (o *Output) fit(opts Options) error {
 		opts.Model.Hooks = opts.Model.Hooks.Then(SamplerMetrics(opts.Metrics))
 	}
 	start := time.Now()
-	res, incidents, shards, err := fitModel(data, opts)
+	res, incidents, err := fitModel(data, opts)
 	o.FitIncidents = incidents
-	o.Shards = shards
 	if err != nil {
 		return fmt.Errorf("pipeline: model: %w", err)
 	}

@@ -246,7 +246,7 @@ func TestSupervisedResumeSkipsUnhealthyCheckpoint(t *testing.T) {
 		Supervise:  true,
 		Checkpoint: CheckpointOptions{Dir: dir, Every: 10, Resume: true},
 	}
-	res, incidents, _, err := fitModel(data, opts)
+	res, incidents, err := fitModel(data, opts)
 	if err != nil {
 		t.Fatalf("supervised fit failed: %v (incidents %+v)", err, incidents)
 	}
@@ -282,8 +282,8 @@ func TestSupervisedRestartBudgetAsGiven(t *testing.T) {
 		return ll
 	}
 	for _, budget := range []int{0, DefaultOptions().MaxRestarts} {
-		opts := Options{Supervise: true, MaxRestarts: budget}
-		_, incidents, err := RunChain(context.Background(), data, cfg, opts, "", nil, nil)
+		opts := Options{Model: cfg, Supervise: true, MaxRestarts: budget}
+		_, incidents, err := RunChain(context.Background(), data, opts, nil)
 		if !errors.Is(err, core.ErrUnhealthy) {
 			t.Fatalf("MaxRestarts=%d: err = %v, want ErrUnhealthy", budget, err)
 		}
@@ -314,7 +314,7 @@ func TestSupervisedFitHealthMetrics(t *testing.T) {
 		Checkpoint:  CheckpointOptions{Dir: t.TempDir(), Every: 10},
 		Metrics:     reg,
 	}
-	_, incidents, _, err := fitModel(data, opts)
+	_, incidents, err := fitModel(data, opts)
 	if err != nil {
 		t.Fatalf("supervised fit failed: %v (incidents %+v)", err, incidents)
 	}

@@ -98,13 +98,6 @@ type Supervisor struct {
 	// recorded (metrics, logging).
 	OnIncident func(Incident)
 
-	// Capture, when non-nil, receives the final sampler of the
-	// successful attempt before its estimates are returned. A sharded
-	// fit uses it to extract mergeable sufficient statistics
-	// (core.ShardStats) that Result alone does not carry. The sampler
-	// is live state — the hook must not retain it past the call.
-	Capture func(*core.Sampler)
-
 	// Now is the clock, overridable in tests. Nil means time.Now.
 	Now func() time.Time
 }
@@ -218,9 +211,6 @@ func (sv *Supervisor) runOnce(ctx context.Context, data *core.Data, cfg core.Con
 	}
 	if runErr != nil {
 		return nil, sweeps, runErr
-	}
-	if sv.Capture != nil {
-		sv.Capture(s)
 	}
 	return s.Estimate(), sweeps, nil
 }

@@ -324,64 +324,3 @@ func TestSupervisorContextCancel(t *testing.T) {
 		t.Fatalf("incidents = %+v, want one gave_up", incidents)
 	}
 }
-
-// TestSupervisorCaptureSeesFinalSampler: the Capture hook fires exactly
-// once, on the successful attempt, and the sampler it sees is the one
-// whose estimates RunFit returns — the contract a sharded fit relies on
-// to extract mergeable statistics.
-func TestSupervisorCaptureSeesFinalSampler(t *testing.T) {
-	data := supervisorData(45)
-	cfg := supervisorConfig(30)
-	var captured *core.ShardStats
-	calls := 0
-	sv := &Supervisor{
-		Capture: func(s *core.Sampler) {
-			calls++
-			captured = s.ShardStats(0)
-		},
-	}
-	res, _, err := sv.RunFit(context.Background(), data, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("Capture fired %d times, want 1", calls)
-	}
-	for d := range res.Y {
-		if captured.Y[d] != res.Y[d] {
-			t.Fatalf("captured Y[%d] = %d, result has %d", d, captured.Y[d], res.Y[d])
-		}
-	}
-}
-
-// TestSupervisorCaptureAfterRecovery: failed attempts never reach
-// Capture; only the attempt that completes does.
-func TestSupervisorCaptureAfterRecovery(t *testing.T) {
-	data := supervisorData(45)
-	cfg := supervisorConfig(30)
-	var once atomic.Bool
-	cfg.Health = core.HealthPolicy{
-		MaxLLDrop: 100,
-		Perturb: func(sweep int, ll float64) float64 {
-			if sweep == 10 && once.CompareAndSwap(false, true) {
-				return math.Inf(-1)
-			}
-			return ll
-		},
-	}
-	calls := 0
-	sv := &Supervisor{
-		MaxRestarts: 2,
-		Capture:     func(*core.Sampler) { calls++ },
-	}
-	_, incidents, err := sv.RunFit(context.Background(), data, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(incidents) == 0 {
-		t.Fatal("perturbed fit recorded no incidents")
-	}
-	if calls != 1 {
-		t.Fatalf("Capture fired %d times across %d incidents, want 1", calls, len(incidents))
-	}
-}

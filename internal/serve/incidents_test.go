@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/resilience"
 )
 
@@ -50,40 +49,6 @@ func TestStatuszReportsFitIncidents(t *testing.T) {
 	if inc.Kind != string(core.HealthLogLikCollapse) || inc.Action != resilience.ActionRollback ||
 		inc.Sweep != 25 || inc.ResumedFrom != 20 {
 		t.Fatalf("statusz incident = %+v, lost fields over the wire", inc)
-	}
-}
-
-// TestStatuszReportsShardFit: a model produced by a sharded fit
-// carries the shard summary into /statusz, and unsharded models omit
-// the key entirely.
-func TestStatuszReportsShardFit(t *testing.T) {
-	out := cloneOutput(t)
-	out.Shards = &pipeline.ShardFitSummary{ShardCount: 8, Resumed: 3, Fitted: 5, Retried: 2, Resharded: 1}
-	s, err := NewWithOptions(out, quietOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/statusz: %d", rec.Code)
-	}
-	var st struct {
-		ShardFit *pipeline.ShardFitSummary `json:"shard_fit"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ShardFit == nil || st.ShardFit.ShardCount != 8 || st.ShardFit.Resumed != 3 ||
-		st.ShardFit.Retried != 2 || st.ShardFit.Resharded != 1 {
-		t.Fatalf("statusz shard_fit = %+v, lost fields over the wire", st.ShardFit)
-	}
-
-	clean := newTestServer(t, quietOptions())
-	rec = httptest.NewRecorder()
-	clean.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
-	if strings.Contains(rec.Body.String(), "shard_fit") {
-		t.Fatalf("unsharded statusz leaked a shard_fit key: %s", rec.Body)
 	}
 }
 

@@ -384,10 +384,6 @@ type Stats struct {
 	// history (rollbacks, reseeded restarts). Empty when the fit never
 	// needed recovery or supervision was off.
 	LastFitIncidents []resilience.Incident `json:"last_fit_incidents,omitempty"`
-	// ShardFit summarizes the sharded corpus-scale fit that produced the
-	// installed model (shard count, retries, reshards, resume progress);
-	// nil when the model was fitted unsharded.
-	ShardFit *pipeline.ShardFitSummary `json:"shard_fit,omitempty"`
 	// RegistryDegraded is true while the registry follower cannot reach
 	// its registry or store and the replica serves its last-good model.
 	// Always false when no follower is attached (see Registry).
@@ -432,7 +428,6 @@ func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	if s.out != nil {
 		st.LastFitIncidents = s.out.FitIncidents
-		st.ShardFit = s.out.Shards
 	}
 	s.mu.RUnlock()
 	if f := s.follower.Load(); f != nil {

@@ -158,59 +158,6 @@ func (a *NWAccum) SetState(n float64, sum []float64, outer *Mat) error {
 	return nil
 }
 
-// SamePrior reports whether two priors describe the same distribution
-// field-for-field. Merging accumulators is only meaningful over one
-// prior: the base matrix, normalizers and posterior updates all depend
-// on it.
-func (nw *NormalWishart) samePriorAs(o *NormalWishart) bool {
-	if nw == o {
-		return true
-	}
-	if nw == nil || o == nil {
-		return false
-	}
-	if nw.Beta != o.Beta || nw.Nu != o.Nu || len(nw.Mu0) != len(o.Mu0) {
-		return false
-	}
-	for i, v := range nw.Mu0 {
-		if o.Mu0[i] != v {
-			return false
-		}
-	}
-	if nw.S.R != o.S.R || nw.S.C != o.S.C {
-		return false
-	}
-	for i, v := range nw.S.Data {
-		if o.S.Data[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// MergeWith folds b's accumulated observations into a. The sufficient
-// statistics (count, sum, Σxxᵀ) are all plain sums over the members,
-// so a post-merge accumulator is exactly the one that would result
-// from adding a's members first and b's second — the primitive a
-// sharded fit uses to combine per-shard rheology statistics. Both
-// accumulators must share the same prior (field-for-field); b is left
-// untouched.
-func (a *NWAccum) MergeWith(b *NWAccum) error {
-	if b == nil {
-		return fmt.Errorf("stats: NWAccum.MergeWith(nil)")
-	}
-	if !a.prior.samePriorAs(b.prior) {
-		return fmt.Errorf("stats: NWAccum.MergeWith: priors differ")
-	}
-	a.n += b.n
-	for i, v := range b.sum {
-		a.sum[i] += v
-	}
-	a.outer.AddInPlace(b.outer)
-	a.predOK = false
-	return nil
-}
-
 // ensurePred rebuilds the factored posterior predictive from the
 // sufficient statistics: one Cholesky of base + Σxxᵀ followed by a
 // rank-one downdate with √β'·μ' yields chol(S'⁻¹) with no matrix

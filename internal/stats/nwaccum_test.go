@@ -146,68 +146,3 @@ func TestNWAccumDegenerateAxisStaysFinite(t *testing.T) {
 		t.Errorf("predictive log pdf = %g", lp)
 	}
 }
-
-// TestNWAccumMergeWithMatchesSequential: merging two accumulators over
-// disjoint halves of the data must reproduce the sufficient statistics
-// of one accumulator fed everything in order — exactly, because the
-// stats are plain sums accumulated in the same left-to-right order.
-func TestNWAccumMergeWithMatchesSequential(t *testing.T) {
-	prior, xs := accumFixture(t)
-	whole := NewNWAccum(prior)
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	left, right := NewNWAccum(prior), NewNWAccum(prior)
-	for _, x := range xs[:len(xs)/2] {
-		left.Add(x)
-	}
-	for _, x := range xs[len(xs)/2:] {
-		right.Add(x)
-	}
-	if err := left.MergeWith(right); err != nil {
-		t.Fatal(err)
-	}
-	wn, wsum, wouter := whole.State()
-	mn, msum, mouter := left.State()
-	if wn != mn {
-		t.Fatalf("count: merged %g vs whole %g", mn, wn)
-	}
-	for i := range wsum {
-		if math.Abs(wsum[i]-msum[i]) > 1e-10 {
-			t.Errorf("sum[%d]: merged %g vs whole %g", i, msum[i], wsum[i])
-		}
-	}
-	if d := wouter.MaxAbsDiff(mouter); d > 1e-10 {
-		t.Errorf("outer product differs by %g", d)
-	}
-	// The factored predictive must agree too (it is rebuilt from the
-	// statistics, so this exercises the predOK invalidation).
-	x := []float64{0.3, -1.1}
-	if d := math.Abs(whole.PredictiveLogPdf(x) - left.PredictiveLogPdf(x)); d > 1e-10 {
-		t.Errorf("predictive log-pdf differs by %g after merge", d)
-	}
-	// The merge source must be untouched.
-	bn, _, _ := right.State()
-	if int(bn) != len(xs)-len(xs)/2 {
-		t.Errorf("merge mutated its argument: n = %g", bn)
-	}
-}
-
-func TestNWAccumMergeWithRejectsMismatchedPriors(t *testing.T) {
-	prior, _ := accumFixture(t)
-	other, err := NewNormalWishart([]float64{0, 0}, 0.75, 5, Identity(2).Scale(0.4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := NewNWAccum(prior), NewNWAccum(other)
-	if err := a.MergeWith(b); err == nil {
-		t.Error("merging accumulators with different priors should fail")
-	}
-	if err := a.MergeWith(nil); err == nil {
-		t.Error("merging with nil should fail")
-	}
-	// Same prior object: fine.
-	if err := a.MergeWith(NewNWAccum(prior)); err != nil {
-		t.Errorf("same-prior merge failed: %v", err)
-	}
-}
