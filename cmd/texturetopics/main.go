@@ -10,7 +10,7 @@
 //	              [-collapsed] [-no-filter] [-no-emulsion]
 //	              [-stream corpus.jsonl] [-corpus-size 0] [-ingest-dir dir]
 //	              [-shards 1]
-//	              [-model-out model.json] [-bundle-out model.bundle]
+//	              [-bundle-out model.bundle]
 //	              [-store fs:DIR|mem:] [-publish-note text] [-promote]
 //	              [-checkpoint-dir dir] [-checkpoint-every 25] [-resume]
 //	              [-supervise] [-max-restarts 3] [-sweep-timeout 0] [-max-ll-drop 0]
@@ -53,7 +53,6 @@ func main() {
 		stream    = flag.String("stream", "", "stream this JSONL corpus file record-at-a-time instead of generating in memory")
 		corpSize  = flag.Int("corpus-size", 0, "stream exactly this many synthetic recipes through ingestion without materializing them (overrides -scale)")
 		ingestDir = flag.String("ingest-dir", "", "fold this online-ingest WAL's records into the fit, appended after the -stream/-corpus-size base")
-		modelOut  = flag.String("model-out", "", "write the fitted model JSON to this file")
 		bundleOut = flag.String("bundle-out", "", "write the full serving bundle (model+docs+exclusions) to this file")
 		storeSpec = flag.String("store", "", "publish the bundle to this model store (fs:DIR, mem:, or a bare directory)")
 		pubNote   = flag.String("publish-note", "", "operator note recorded on the published generation (with -store)")
@@ -162,22 +161,6 @@ func main() {
 	if *verbose {
 		val := linkage.Validate(out.Model, lexicon.Default(), assignments)
 		fmt.Print(report.RenderValidation(val))
-	}
-
-	if *modelOut != "" {
-		f, err := os.Create(*modelOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "texturetopics:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := out.Model.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "texturetopics:", err)
-			os.Exit(1)
-		}
-		if *verbose {
-			fmt.Println("model written to", *modelOut)
-		}
 	}
 
 	if *bundleOut != "" {

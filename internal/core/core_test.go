@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -260,7 +259,7 @@ func TestNewSamplerValidation(t *testing.T) {
 	}
 	// Prior dim mismatch.
 	cfg := smallCfg()
-	wrong, err := stats.NewNormalWishart([]float64{0, 0, 0}, 1, 5, stats.Identity(3))
+	wrong, err := stats.NewNormalWishart([]float64{0, 0, 0}, 1, 5, stats.ScaledIdentity(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,31 +284,6 @@ func TestEmpiricalPriors(t *testing.T) {
 		if math.Abs(gp.Mu0[i]-want[i]) > 1e-9 {
 			t.Error("gel prior mean should equal data mean")
 		}
-	}
-}
-
-func TestResultJSONRoundTrip(t *testing.T) {
-	res, _ := fitSynth(t, smallCfg(), 60)
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResultJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != res.K || got.V != res.V || len(got.Phi) != len(res.Phi) {
-		t.Error("shape lost")
-	}
-	if got.Gel[0].Precision.MaxAbsDiff(res.Gel[0].Precision) > 1e-12 {
-		t.Error("precision lost")
-	}
-	if _, err := ReadResultJSON(bytes.NewBufferString(`{"k":2,"phi":[]}`)); err == nil {
-		t.Error("inconsistent payload should fail")
-	}
-	ragged := `{"k":1,"v":1,"phi":[[1]],"gel":[{"mean":[0,0],"precision":[[1,0],[0]]}],"emu":[{"mean":[0,0],"precision":[[1,0],[0,1]]}]}`
-	if _, err := ReadResultJSON(bytes.NewBufferString(ragged)); err == nil {
-		t.Error("ragged precision rows should fail")
 	}
 }
 
@@ -395,14 +369,14 @@ func TestLearnAlphaConverges(t *testing.T) {
 	}
 	// The synthetic docs are single-topic: the learned α must shrink
 	// well below the bad initial value.
-	if got := s.Alpha(); got >= 1.0 {
+	if got := s.cfg.Alpha; got >= 1.0 {
 		t.Errorf("learned α = %g, want ≪ 2.0", got)
 	}
 	res := s.Estimate()
 	if acc := clusterAccuracy(res.Y, truth, 3); acc < 0.9 {
 		t.Errorf("recovery with learned α = %.3f", acc)
 	}
-	if res.Alpha != s.Alpha() {
+	if res.Alpha != s.cfg.Alpha {
 		t.Error("estimate should carry the learned α")
 	}
 }

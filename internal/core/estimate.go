@@ -190,20 +190,6 @@ func (r *Result) TopTerms(k, n int) []TermProb {
 	return out
 }
 
-// ShallowClone returns a fresh Result header over the same parameter
-// slices, with its own fold-in hook and kernel slot. Use it when the
-// same fitted model must be installed twice (e.g. swapped back into a
-// server that mutates FoldInHook on install); copying a Result by
-// value is not supported — the kernel slot is not copyable.
-func (r *Result) ShallowClone() *Result {
-	return &Result{
-		K: r.K, V: r.V, Phi: r.Phi, Theta: r.Theta, Y: r.Y, Gel: r.Gel, Emu: r.Emu,
-		Alpha: r.Alpha, Gamma: r.Gamma,
-		UseEmulsion: r.UseEmulsion, EmulsionWeight: r.EmulsionWeight,
-		LogLik: r.LogLik, TopicDocs: r.TopicDocs,
-	}
-}
-
 // GelGaussian returns topic k's gel component as a density, for KL
 // linkage against empirical settings.
 func (r *Result) GelGaussian(k int) (*stats.Gaussian, error) {

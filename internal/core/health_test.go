@@ -239,8 +239,11 @@ func TestHealthBestCarriesAcrossResume(t *testing.T) {
 			return ll
 		},
 	}
-	_, err := ResumeFit(data, cfg, snap)
-	he := requireHealthError(t, err, HealthLogLikCollapse)
+	s, err := ResumeSampler(data, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	he := requireHealthError(t, s.Run(nil), HealthLogLikCollapse)
 	if he.Event.Sweep != 12 {
 		t.Fatalf("event sweep = %d, want 12", he.Event.Sweep)
 	}

@@ -41,7 +41,3 @@ func (s *Sampler) updateAlpha() {
 	}
 	s.cfg.Alpha = next
 }
-
-// Alpha returns the sampler's current Dirichlet concentration —
-// constant unless LearnAlpha is set.
-func (s *Sampler) Alpha() float64 { return s.cfg.Alpha }

@@ -329,7 +329,7 @@ func TestParallelRecipeStepEnumeration(t *testing.T) {
 		alpha = 0.5
 		lam   = 0.5
 	)
-	prior, err := stats.NewNormalWishart([]float64{0}, 1, 3, stats.Identity(1))
+	prior, err := stats.NewNormalWishart([]float64{0}, 1, 3, stats.ScaledIdentity(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +343,10 @@ func TestParallelRecipeStepEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, means := range [][2]float64{{0, 0}, {1, 0.5}} {
-		if s.gelComp[k], err = newComponent([]float64{means[0]}, stats.Identity(1)); err != nil {
+		if s.gelComp[k], err = newComponent([]float64{means[0]}, stats.ScaledIdentity(1, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if s.emuComp[k], err = newComponent([]float64{means[1]}, stats.Identity(1)); err != nil {
+		if s.emuComp[k], err = newComponent([]float64{means[1]}, stats.ScaledIdentity(1, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}

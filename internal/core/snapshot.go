@@ -352,16 +352,3 @@ func restoreAccum(prior *stats.NormalWishart, st accumState) (*stats.NWAccum, er
 	}
 	return a, nil
 }
-
-// ResumeFit restores a chain from a snapshot, runs it to cfg.Iterations,
-// and returns the estimates — the resume counterpart of Fit.
-func ResumeFit(data *Data, cfg Config, sn *Snapshot) (*Result, error) {
-	s, err := ResumeSampler(data, cfg, sn)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Run(nil); err != nil {
-		return nil, err
-	}
-	return s.Estimate(), nil
-}

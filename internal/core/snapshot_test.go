@@ -135,7 +135,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 						i, resumed.LogLik[i], want.LogLik[i], killAt)
 				}
 			}
-			if a, b := want.Alpha(), resumed.Alpha(); a != b {
+			if a, b := want.cfg.Alpha, resumed.cfg.Alpha; a != b {
 				t.Errorf("α diverged: %v vs %v", b, a)
 			}
 			// And the user-visible estimates agree exactly too.
@@ -158,11 +158,14 @@ func TestResumeFitExtendsChain(t *testing.T) {
 	snap := runKilled(t, data, cfg, cfg.Iterations/2)
 	longer := cfg
 	longer.Iterations = cfg.Iterations + 10
-	res, err := ResumeFit(data, longer, snap)
+	s, err := ResumeSampler(data, longer, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LogLik) != longer.Iterations {
+	if err := s.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Estimate(); len(res.LogLik) != longer.Iterations {
 		t.Fatalf("extended chain has %d sweeps of trace, want %d", len(res.LogLik), longer.Iterations)
 	}
 }
@@ -226,6 +229,7 @@ func TestResumeSamplerRejectsMismatch(t *testing.T) {
 		{"topic-out-of-range", func(c *Config, sn *Snapshot, d *Data) { sn.Y[0] = 99 }},
 		{"alpha", func(c *Config, sn *Snapshot, d *Data) { sn.Alpha = -1 }},
 		{"components", func(c *Config, sn *Snapshot, d *Data) { sn.GelComp = sn.GelComp[:1] }},
+		{"ragged-precision", func(c *Config, sn *Snapshot, d *Data) { p := sn.GelComp[0].Precision; p[1] = p[1][:1] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

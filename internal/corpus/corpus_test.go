@@ -331,7 +331,8 @@ func TestGenerateToStreamsValidJSONL(t *testing.T) {
 	if got := bytes.Count(buf.Bytes(), []byte{'\n'}); got != n {
 		t.Fatalf("emitted %d lines, want %d", got, n)
 	}
-	recipes, report, err := recipe.ReadJSONLenient(bytes.NewReader(buf.Bytes()), 0)
+	var recipes []*recipe.Recipe
+	report, err := recipe.StreamJSONLenient(bytes.NewReader(buf.Bytes()), 0, func(r *recipe.Recipe) error { recipes = append(recipes, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -375,7 +375,8 @@ func TestCombinedSourceDeterministic(t *testing.T) {
 	}
 
 	// The stream is valid JSONL end to end.
-	recs, rep, err := recipe.ReadJSONLenient(bytes.NewReader(first), 0)
+	var recs []*recipe.Recipe
+	rep, err := recipe.StreamJSONLenient(bytes.NewReader(first), 0, func(r *recipe.Recipe) error { recs = append(recs, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

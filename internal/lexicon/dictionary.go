@@ -77,9 +77,6 @@ func (d *Dictionary) Term(id int) Term {
 	return d.terms[id]
 }
 
-// Terms returns the full term slice. Callers must not modify it.
-func (d *Dictionary) Terms() []Term { return d.terms }
-
 // ByKana finds a term by its normalized kana form.
 func (d *Dictionary) ByKana(kana string) (Term, bool) {
 	id, ok := d.byKana[textseg.Normalize(kana)]

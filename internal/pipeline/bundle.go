@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,33 +15,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Bundle payload schemas, carried in the container header's "schema"
-// field. A bundle is the persistent form of a fitted pipeline:
-// everything the annotation and linkage layers need, without the raw
-// corpus. Bundles let services start from a file instead of refitting
-// at boot.
-const (
-	// bundleSchemaJSON is the gzip-compressed JSON document (bundleJSON)
-	// older builds wrote. It is no longer written, but registries hold
-	// schema-1 generations that followers must keep loading.
-	bundleSchemaJSON = 1
-	// bundleSchemaBinary is the gzip-compressed binary columnar payload
-	// with the fit record before φ, which older builds wrote. It is no
-	// longer written, and read for the same reason as schema 1.
-	bundleSchemaBinary = 2
-	// bundleSchemaModelFirst is the gzip-compressed binary columnar
-	// payload SaveBundle writes: the model part a server reads, then
-	// the fit record (bundlebin.go).
-	bundleSchemaModelFirst = 3
-)
-
-// bundleJSON is the schema-1 document.
-type bundleJSON struct {
-	Version       int                 `json:"version"`
-	Docs          []recipe.Doc        `json:"docs"`
-	ExcludedTerms map[string][]string `json:"excluded_terms"`
-	Model         json.RawMessage     `json:"model"`
-}
+// bundleSchema is the bundle payload schema, carried in the container
+// header's "schema" field: the gzip-compressed binary columnar payload
+// SaveBundle writes, the model part a server reads and then the fit
+// record (bundlebin.go). It is the only schema LoadBundle and
+// LoadModel read. A bundle is the persistent form of a fitted
+// pipeline: everything the annotation and linkage layers need, without
+// the raw corpus. Bundles let services start from a file instead of
+// refitting at boot.
+const bundleSchema = 3
 
 // SaveBundle writes the fitted state (model, docs, term exclusions) in
 // the format-2 durable container: a gzip-compressed schema-3 binary
@@ -61,7 +42,7 @@ func (o *Output) SaveBundle(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return writeContainer(w, kindBundle, bundleSchemaModelFirst, payload, nil)
+	return writeContainer(w, kindBundle, bundleSchema, payload, nil)
 }
 
 // EncodeBundle renders the fitted state as container bytes plus the
@@ -100,16 +81,16 @@ func (o *Output) bundlePayload() ([]byte, error) {
 }
 
 // LoadBundle reads a bundle written by SaveBundle: a format-2
-// container holding a schema-3 binary payload, or a schema-2 or
-// schema-1 one from an older build. Truncated, bit-flipped and
-// trailing-garbage inputs, and anything that is not a container, are
-// rejected with an error wrapping ErrCorrupt; future container or
-// schema versions with ErrVersion; a checkpoint file passed by mistake
-// with ErrKind. The whole payload is inflated and decoded, and a
-// schema-3 model part must agree with the fit record after it. The
-// returned Output carries the model, docs, exclusions and dictionary;
-// the raw recipe corpus is not part of a bundle (AllRecipes and Kept
-// are nil).
+// container holding a schema-3 binary payload. Truncated, bit-flipped
+// and trailing-garbage inputs, and anything that is not a container,
+// are rejected with an error wrapping ErrCorrupt; any other container
+// or schema version with ErrVersion (for the schema-1 and schema-2
+// bundles older builds wrote, the error names the schema and how to
+// rebuild the bundle); a checkpoint file passed by mistake with
+// ErrKind. The whole payload is inflated and decoded, and the model
+// part must agree with the fit record after it. The returned Output
+// carries the model, docs, exclusions and dictionary; the raw recipe
+// corpus is not part of a bundle (AllRecipes and Kept are nil).
 func LoadBundle(r io.Reader) (*Output, error) { return loadFrom(r, loadBundle) }
 
 // LoadModel reads a bundle for serving: what annotation and /topics
@@ -118,8 +99,7 @@ func LoadBundle(r io.Reader) (*Output, error) { return loadFrom(r, loadBundle) }
 // returned. Of a schema-3 payload only the model part is inflated and
 // decoded; the fit record after it is never read, so damage there that
 // the digest covers (a payload re-digested after the damage) loads
-// here and fails LoadBundle. Older schemas have no model part of their
-// own and are decoded in full.
+// here and fails LoadBundle.
 //
 // The returned Output carries the model, exclusions and dictionary.
 // Its Docs, Model.Theta and Model.Y are nil; Model.TopicDocs holds the
@@ -148,28 +128,22 @@ func (o *Output) Recipes() int {
 
 // loadBundle is LoadBundle over the container bytes b.
 func loadBundle(b []byte) (*Output, error) {
-	payload, schema, err := openBundle(b)
+	payload, err := openBundle(b)
 	if err != nil {
 		return nil, err
 	}
-	return decodeBundle(payload, schema)
+	raw, err := gunzipPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBundlePayload(raw)
 }
 
 // loadModel is LoadModel over the container bytes b.
 func loadModel(b []byte) (*Output, error) {
-	payload, schema, err := openBundle(b)
+	payload, err := openBundle(b)
 	if err != nil {
 		return nil, err
-	}
-	if schema != bundleSchemaModelFirst {
-		out, err := decodeBundle(payload, schema)
-		if err != nil {
-			return nil, err
-		}
-		m := out.Model
-		m.TopicDocs = m.DocsPerTopic()
-		m.Theta, m.Y, out.Docs = nil, nil, nil
-		return out, nil
 	}
 	part, err := gunzipModelPart(payload)
 	if err != nil {
@@ -178,8 +152,7 @@ func loadModel(b []byte) (*Output, error) {
 	return decodeModelOutput(part)
 }
 
-// decodeModelOutput decodes a schema-3 model part into LoadModel's
-// Output.
+// decodeModelOutput decodes a model part into LoadModel's Output.
 func decodeModelOutput(part []byte) (*Output, error) {
 	m, excluded, counts, err := decodeModelPart(part)
 	if err != nil {
@@ -189,33 +162,22 @@ func decodeModelOutput(part []byte) (*Output, error) {
 	return finishBundle(nil, excluded, m)
 }
 
-// openBundle parses b as a bundle container of a schema this build
-// reads and returns its compressed payload and schema.
-func openBundle(b []byte) ([]byte, int, error) {
+// openBundle parses b as a bundle container of schema 3 and returns
+// its compressed payload.
+func openBundle(b []byte) ([]byte, error) {
 	payload, hdr, err := parseContainer(b, kindBundle)
-	if err != nil {
-		return nil, 0, err
-	}
-	if hdr.Schema < bundleSchemaJSON || hdr.Schema > bundleSchemaModelFirst {
-		return nil, 0, fmt.Errorf("pipeline: bundle schema %d, this build reads %d to %d: %w",
-			hdr.Schema, bundleSchemaJSON, bundleSchemaModelFirst, ErrVersion)
-	}
-	return payload, hdr.Schema, nil
-}
-
-// decodeBundle inflates and decodes a whole payload of schema.
-func decodeBundle(payload []byte, schema int) (*Output, error) {
-	raw, err := gunzipPayload(payload)
 	if err != nil {
 		return nil, err
 	}
-	switch schema {
-	case bundleSchemaJSON:
-		return decodeBundleJSON(raw)
-	case bundleSchemaBinary:
-		return decodeSchema2Payload(raw)
+	switch hdr.Schema {
+	case bundleSchema:
+		return payload, nil
+	case 1, 2:
+		return nil, fmt.Errorf("pipeline: bundle schema %d is no longer read, this build reads %d; "+
+			"rebuild the bundle with texturetopics -bundle-out, or republish it with texturetopics -store … -promote: %w",
+			hdr.Schema, bundleSchema, ErrVersion)
 	}
-	return decodeBundlePayload(raw)
+	return nil, fmt.Errorf("pipeline: bundle schema %d, this build reads %d: %w", hdr.Schema, bundleSchema, ErrVersion)
 }
 
 // maxDeflateRatio is the most a deflate stream can expand: no code is
@@ -277,7 +239,7 @@ func gunzipPayload(payload []byte) ([]byte, error) {
 	return raw, nil
 }
 
-// gunzipModelPart inflates the model part of a schema-3 payload and
+// gunzipModelPart inflates the model part of a payload and
 // stops: its length, then that many bytes into one buffer. The length
 // is trusted only up to the size the trailer declares. What follows
 // the part, and the member's CRC-32 over it, are never read; the
@@ -305,26 +267,7 @@ func gunzipModelPart(payload []byte) ([]byte, error) {
 	return part, nil
 }
 
-// decodeBundleJSON decodes a schema-1 document. Syntax damage and
-// trailing garbage are corruption; a document claiming another inner
-// version is a version problem.
-func decodeBundleJSON(raw []byte) (*Output, error) {
-	var b bundleJSON
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("pipeline: decoding bundle: %w: %w", ErrCorrupt, err)
-	}
-	if b.Version != bundleSchemaJSON {
-		return nil, fmt.Errorf("pipeline: bundle document version %d, schema %d holds version %d: %w",
-			b.Version, bundleSchemaJSON, bundleSchemaJSON, ErrVersion)
-	}
-	model, err := core.ReadResultJSON(bytes.NewReader(b.Model))
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: bundle model: %w: %w", ErrCorrupt, err)
-	}
-	return finishBundle(b.Docs, b.ExcludedTerms, model)
-}
-
-// finishBundle makes the checks every schema shares and assembles the
+// finishBundle makes the checks both loaders share and assembles the
 // loaded Output.
 func finishBundle(docs []recipe.Doc, excluded map[string][]string, model *core.Result) (*Output, error) {
 	if len(docs) != len(model.Theta) {

@@ -29,8 +29,7 @@ const expMask = 0x7ff << 52
 // floats are their raw little-endian IEEE-754 bits, so every value
 // round-trips exactly; a string is its uvarint byte length, then its
 // bytes. A length marked "n?" also encodes a nil slice: it is written
-// as n+1, and 0 means nil, so a load returns what the schema-1 JSON
-// decode of the same state returns (null there, nil here).
+// as n+1, and 0 means nil, so nil and empty slices round-trip as such.
 //
 //	model length  the model part's byte length
 //	model part
@@ -59,9 +58,8 @@ const expMask = 0x7ff << 52
 // them, and carves every slice out of them. A full load checks the
 // topic docs against θ.
 //
-// A NaN or ±Inf anywhere is an error, as it was for the JSON encoder.
-// Shapes are not checked here: a malformed model encodes, and the
-// loader rejects it, as it did for schema 1.
+// A NaN or ±Inf anywhere is an error. Shapes are not checked here: a
+// malformed model encodes, and the loader rejects it.
 func writeBundlePayload(w *bufio.Writer, docs []recipe.Doc, excluded map[string][]string, m *core.Result) error {
 	// The length goes first, so the model part is encoded aside.
 	var part bytes.Buffer
@@ -283,8 +281,8 @@ func optLen[T any](e *payloadEncoder, s []T) {
 
 // decodeBundlePayload decodes a decompressed schema-3 payload (laid
 // out as writeBundlePayload describes) in full and makes the checks
-// every schema shares, and one of its own: the stored topic docs must
-// be θ's. Every error wraps ErrCorrupt. A length is checked against
+// LoadModel makes, and one of its own: the stored topic docs must be
+// θ's. Every error wraps ErrCorrupt. A length is checked against
 // the bytes left before anything is allocated for it, so allocation
 // stays proportional to the payload.
 func decodeBundlePayload(raw []byte) (*Output, error) {
@@ -338,38 +336,6 @@ func decodeModelPart(part []byte) (*core.Result, map[string][]string, []int, err
 		return nil, nil, nil, err
 	}
 	return m, excluded, counts, nil
-}
-
-// decodeSchema2Payload decodes a decompressed schema-2 payload, which
-// older builds wrote: the same primitives and sections as schema 3,
-// in one part with one counts preamble, in the order counts, model,
-// docs, excluded, phi, theta, y, gel, emu, loglik, and without topic
-// docs. Every error wraps ErrCorrupt.
-func decodeSchema2Payload(raw []byte) (*Output, error) {
-	d := &payloadDecoder{buf: raw, section: "counts"}
-	d.arenas()
-	d.section = "model"
-	m := d.scalars()
-	d.section = "docs"
-	docs := d.docs()
-	d.section = "excluded"
-	excluded := d.excluded()
-	d.section = "phi"
-	m.Phi = d.matrix(m.K, m.V)
-	d.section = "theta"
-	m.Theta = d.optMatrix(m.K)
-	d.section = "y"
-	m.Y = d.optInts()
-	d.section = "gel"
-	m.Gel = d.components(m.K)
-	d.section = "emu"
-	m.Emu = d.components(m.K)
-	d.section = "loglik"
-	m.LogLik = d.optFloats()
-	if err := d.end(); err != nil {
-		return nil, err
-	}
-	return finishBundle(docs, excluded, m)
 }
 
 // payloadDecoder reads payload primitives from buf. Errors are sticky:

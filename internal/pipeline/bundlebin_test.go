@@ -6,13 +6,13 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -66,73 +66,6 @@ func modelPartEnd(t testing.TB, raw []byte) int {
 	return w + int(n)
 }
 
-// writeSchema2Payload writes o as the schema-2 payload older builds
-// wrote: one part, the fit record before φ, and no topic docs.
-func writeSchema2Payload(w *bufio.Writer, o *Output) error {
-	m := o.Model
-	e := &payloadEncoder{w: w, section: "counts"}
-	floats, ints := len(m.LogLik), len(m.Y)
-	for i := range o.Docs {
-		floats += len(o.Docs[i].Gel) + len(o.Docs[i].Emulsion)
-		ints += len(o.Docs[i].TermIDs)
-	}
-	for _, rows := range [][][]float64{m.Phi, m.Theta} {
-		for _, row := range rows {
-			floats += len(row)
-		}
-	}
-	for _, cs := range [][]core.Component{m.Gel, m.Emu} {
-		for _, c := range cs {
-			floats += len(c.Mean)
-			if c.Precision != nil {
-				floats += len(c.Precision.Data)
-			}
-		}
-	}
-	e.uvarint(floats)
-	e.uvarint(ints)
-	e.section = "model"
-	e.scalars(m)
-	e.section = "docs"
-	e.docs(o.Docs)
-	e.section = "excluded"
-	e.excluded(o.ExcludedTerms)
-	e.section = "phi"
-	for _, row := range m.Phi {
-		e.floats(row)
-	}
-	e.section = "theta"
-	optLen(e, m.Theta)
-	for _, row := range m.Theta {
-		e.floats(row)
-	}
-	e.section = "y"
-	optLen(e, m.Y)
-	e.ints(m.Y)
-	e.section = "gel"
-	e.components(m.Gel)
-	e.section = "emu"
-	e.components(m.Emu)
-	e.section = "loglik"
-	optLen(e, m.LogLik)
-	e.floats(m.LogLik)
-	return e.err
-}
-
-// rawSchema2Payload returns o's schema-2 payload before compression.
-func rawSchema2Payload(t testing.TB, o *Output) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeSchema2Payload(bw, o); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // wrapPayload compresses raw and wraps it in a container of schema
 // with a freshly computed digest, so damage inside raw passes the
 // container's checks and reaches the payload decoder.
@@ -153,11 +86,6 @@ func wrapPayload(t testing.TB, schema int, raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// schema2Bundle returns o as the schema-2 container older builds wrote.
-func schema2Bundle(t testing.TB, o *Output) []byte {
-	return wrapPayload(t, bundleSchemaBinary, rawSchema2Payload(t, o))
-}
-
 // sameBits fails unless a and b hold bit-identical floats.
 func sameBits(t *testing.T, what string, a, b []float64) {
 	t.Helper()
@@ -168,94 +96,6 @@ func sameBits(t *testing.T, what string, a, b []float64) {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("%s[%d]: %v vs %v", what, i, a[i], b[i])
 		}
-	}
-}
-
-// TestBundleSchemasLoadIdentically: a paper-scale fitted state saved
-// as a schema-1 JSON container and as the schema-2 binary one loads to
-// the same Output, float for float — including the nil-versus-empty
-// slices and the unknown truth the JSON decode preserves.
-func TestBundleSchemasLoadIdentically(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Corpus.ConfoundRate = 0.3 // exercise excluded-term persistence
-	opts.Model.Iterations = 40
-	opts.Model.BurnIn = 20
-	out := runTestPipeline(t, opts)
-	if len(out.Docs) < 2000 || len(out.ExcludedTerms) == 0 {
-		t.Fatalf("fixture too small: %d docs, %d excluded terms", len(out.Docs), len(out.ExcludedTerms))
-	}
-	out.Docs[0].Truth = -1
-	out.Docs[1].TermIDs = nil
-	out.Docs[2].TermIDs = []int{}
-
-	v1, err := LoadBundle(bytes.NewReader(schema1Bundle(t, out)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := out.SaveBundle(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := LoadBundle(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(v1.Docs, v2.Docs) {
-		t.Fatal("docs differ")
-	}
-	if v2.Docs[0].Truth != -1 || v2.Docs[1].TermIDs != nil || v2.Docs[2].TermIDs == nil {
-		t.Fatalf("edge docs not preserved: %+v %+v %+v", v2.Docs[0], v2.Docs[1], v2.Docs[2])
-	}
-	for i := range v1.Docs {
-		sameBits(t, "doc gel", v1.Docs[i].Gel, v2.Docs[i].Gel)
-		sameBits(t, "doc emulsion", v1.Docs[i].Emulsion, v2.Docs[i].Emulsion)
-	}
-	if !reflect.DeepEqual(v1.ExcludedTerms, v2.ExcludedTerms) {
-		t.Fatalf("excluded terms differ: %v vs %v", v1.ExcludedTerms, v2.ExcludedTerms)
-	}
-	a, b := v1.Model, v2.Model
-	if a.K != b.K || a.V != b.V || a.UseEmulsion != b.UseEmulsion ||
-		math.Float64bits(a.Alpha) != math.Float64bits(b.Alpha) ||
-		math.Float64bits(a.Gamma) != math.Float64bits(b.Gamma) ||
-		math.Float64bits(a.EmulsionWeight) != math.Float64bits(b.EmulsionWeight) {
-		t.Fatal("model scalars differ")
-	}
-	if !reflect.DeepEqual(a.Y, b.Y) {
-		t.Fatal("Y differs")
-	}
-	for k := range a.Phi {
-		sameBits(t, "phi", a.Phi[k], b.Phi[k])
-	}
-	if len(a.Theta) != len(b.Theta) {
-		t.Fatalf("theta rows %d vs %d", len(a.Theta), len(b.Theta))
-	}
-	for d := range a.Theta {
-		sameBits(t, "theta", a.Theta[d], b.Theta[d])
-	}
-	for _, cs := range [][2][]core.Component{{a.Gel, b.Gel}, {a.Emu, b.Emu}} {
-		for k := range cs[0] {
-			ca, cb := cs[0][k], cs[1][k]
-			sameBits(t, "mean", ca.Mean, cb.Mean)
-			if ca.Precision.R != cb.Precision.R || ca.Precision.C != cb.Precision.C {
-				t.Fatal("precision shape differs")
-			}
-			sameBits(t, "precision", ca.Precision.Data, cb.Precision.Data)
-		}
-	}
-	sameBits(t, "loglik", a.LogLik, b.LogLik)
-
-	for i := 0; i < 20; i++ {
-		d := v1.Docs[i]
-		ta, err := a.FoldIn(d.TermIDs, d.Gel, d.Emulsion, 50, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb, err := b.FoldIn(d.TermIDs, d.Gel, d.Emulsion, 50, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, "fold-in theta", ta, tb)
 	}
 }
 
@@ -293,8 +133,7 @@ func TestEncodeBundleDeterministic(t *testing.T) {
 	}
 }
 
-// TestSaveBundleRejectsNonFinite: NaN and ±Inf cannot be saved, as
-// with the JSON encoder.
+// TestSaveBundleRejectsNonFinite: NaN and ±Inf cannot be saved.
 func TestSaveBundleRejectsNonFinite(t *testing.T) {
 	for name, spoil := range map[string]func(*Output){
 		"nan-phi":       func(o *Output) { o.Model.Phi[0][1] = math.NaN() },
@@ -313,92 +152,86 @@ func TestSaveBundleRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestLoadBundleRejectsDamagedPayload: damage inside a schema-3 or
-// schema-2 payload, re-digested so it reaches the decoder, is
-// ErrCorrupt from LoadBundle and never a panic. LoadModel must reject
-// the same damage in a schema-3 model part, and load past damage in
-// the fit record, which it never reads; a schema-2 payload has no
-// model part of its own, so LoadModel rejects all its damage. The
-// schema-2 rows carry a "schema2-" prefix.
+// TestLoadBundleRejectsDamagedPayload: damage inside a payload,
+// re-digested so it reaches the decoder, is ErrCorrupt from LoadBundle
+// and never a panic. LoadModel must reject the same damage in the
+// model part, and load past damage in the fit record, which it never
+// reads. The rows with a "schema2-" prefix put each damaged payload in
+// a schema-2 container: both loaders refuse it by its header with
+// ErrVersion, so no damage reaches a decoder.
 func TestLoadBundleRejectsDamagedPayload(t *testing.T) {
 	type damage struct {
 		name    string
 		raw     []byte
 		fitOnly bool // schema 3 holds the damage in its fit record
 	}
-	// damaged returns the damage shapes both schemas share, each
-	// encoded by encode.
-	damaged := func(encode func(testing.TB, *Output) []byte) []damage {
-		raw := encode(t, tinyOutput())
-		spoiled := func(spoil func(*Output)) []byte {
-			o := tinyOutput()
-			spoil(o)
-			return encode(t, o)
-		}
-		// α (0.1) is the first float in the payload.
-		nanAlpha := append([]byte(nil), raw...)
-		alpha := bytes.Index(nanAlpha, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.1)))
-		binary.LittleEndian.PutUint64(nanAlpha[alpha:], math.Float64bits(math.NaN()))
-		// The encoder sorts exclusion keys, so forge a repeat of "a".
-		dupKey := bytes.Replace(spoiled(func(o *Output) {
-			o.ExcludedTerms = map[string][]string{"a": nil, "b": nil}
-		}), []byte{1, 'b'}, []byte{1, 'a'}, 1)
-		return []damage{
-			{"empty", nil, false},
-			{"bytes-after-last-section", append(append([]byte(nil), raw...), 0), true},
-			{"docs-not-theta-rows", spoiled(func(o *Output) { o.Model.Theta = append(o.Model.Theta, []float64{0.5, 0.5}) }), true},
-			{"k-disagrees-with-phi", spoiled(func(o *Output) { o.Model.K = 3 }), false},
-			{"v-disagrees-with-phi", spoiled(func(o *Output) { o.Model.V = 4 }), false},
-			{"zero-k", spoiled(func(o *Output) { o.Model.K = 0 }), false},
-			{"ragged-precision", spoiled(func(o *Output) {
-				o.Model.Gel[0].Precision = &stats.Mat{R: 2, C: 2, Data: []float64{1, 0, 0}}
-			}), false},
-			{"non-square-precision", spoiled(func(o *Output) {
-				o.Model.Gel[1].Precision = &stats.Mat{R: 2, C: 3, Data: []float64{1, 0, 0, 0, 1, 0}}
-			}), false},
-			{"missing-precision", spoiled(func(o *Output) { o.Model.Emu[0].Precision = nil }), false},
-			{"mean-disagrees-with-precision", spoiled(func(o *Output) { o.Model.Emu[0].Mean = []float64{0, 1, 2} }), false},
-			{"indefinite-precision", spoiled(func(o *Output) {
-				o.Model.Gel[0].Precision = stats.MatFromRows([][]float64{{-1e300, 0}, {0, 1}})
-			}), false},
-			{"nan-float", nanAlpha, false},
-			{"duplicate-excluded-key", dupKey, false},
-		}
-	}
-
 	raw := rawBundlePayload(t, tinyOutput())
+	spoiled := func(spoil func(*Output)) []byte {
+		o := tinyOutput()
+		spoil(o)
+		return rawBundlePayload(t, o)
+	}
+	// α (0.1) is the first float in the payload.
+	nanAlpha := append([]byte(nil), raw...)
+	alpha := bytes.Index(nanAlpha, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.1)))
+	binary.LittleEndian.PutUint64(nanAlpha[alpha:], math.Float64bits(math.NaN()))
+	// The encoder sorts exclusion keys, so forge a repeat of "a".
+	dupKey := bytes.Replace(spoiled(func(o *Output) {
+		o.ExcludedTerms = map[string][]string{"a": nil, "b": nil}
+	}), []byte{1, 'b'}, []byte{1, 'a'}, 1)
+	rows := []damage{
+		{"empty", nil, false},
+		{"bytes-after-last-section", append(append([]byte(nil), raw...), 0), true},
+		{"docs-not-theta-rows", spoiled(func(o *Output) { o.Model.Theta = append(o.Model.Theta, []float64{0.5, 0.5}) }), true},
+		{"k-disagrees-with-phi", spoiled(func(o *Output) { o.Model.K = 3 }), false},
+		{"v-disagrees-with-phi", spoiled(func(o *Output) { o.Model.V = 4 }), false},
+		{"zero-k", spoiled(func(o *Output) { o.Model.K = 0 }), false},
+		{"ragged-precision", spoiled(func(o *Output) {
+			o.Model.Gel[0].Precision = &stats.Mat{R: 2, C: 2, Data: []float64{1, 0, 0}}
+		}), false},
+		{"non-square-precision", spoiled(func(o *Output) {
+			o.Model.Gel[1].Precision = &stats.Mat{R: 2, C: 3, Data: []float64{1, 0, 0, 0, 1, 0}}
+		}), false},
+		{"missing-precision", spoiled(func(o *Output) { o.Model.Emu[0].Precision = nil }), false},
+		{"mean-disagrees-with-precision", spoiled(func(o *Output) { o.Model.Emu[0].Mean = []float64{0, 1, 2} }), false},
+		{"indefinite-precision", spoiled(func(o *Output) {
+			o.Model.Gel[0].Precision = stats.MatFromRows([][]float64{{-1e300, 0}, {0, 1}})
+		}), false},
+		{"nan-float", nanAlpha, false},
+		{"duplicate-excluded-key", dupKey, false},
+	}
 	_, prefix := binary.Uvarint(raw)
 	fitStart := modelPartEnd(t, raw)
 	// The model part of a state whose one recipe is in topic 1, before
 	// the fit record of tinyOutput, whose recipe is in topic 0.
 	flipped := tinyOutput()
 	flipped.Model.Theta = [][]float64{{0.3, 0.7}}
-	schema3 := append(damaged(rawBundlePayload),
+	rows = append(rows,
 		damage{"cut-in-counts", raw[:prefix+1], false},
 		damage{"cut-in-docs", raw[:fitStart+4], true},
 		damage{"cut-in-loglik", raw[:fitStart-4], false},
 		damage{"cut-in-y", raw[:len(raw)-1], true},
 		damage{"topic-docs-disagree-with-theta", splicedPayload(t, flipped, tinyOutput()), true},
 	)
-	raw2 := rawSchema2Payload(t, tinyOutput())
-	schema2 := append(damaged(rawSchema2Payload),
-		damage{"cut-in-counts", raw2[:1], false},
-		damage{"cut-in-docs", raw2[:len(raw2)/3], false},
-		damage{"cut-in-loglik", raw2[:len(raw2)-4], false},
-	)
 
 	for _, sc := range []struct {
 		prefix string
 		schema int
-		rows   []damage
 	}{
-		{"", bundleSchemaModelFirst, schema3},
-		{"schema2-", bundleSchemaBinary, schema2},
+		{"", bundleSchema},
+		{"schema2-", 2},
 	} {
-		for _, tc := range sc.rows {
-			modelLoad := tc.fitOnly && sc.schema == bundleSchemaModelFirst
+		for _, tc := range rows {
 			t.Run(sc.prefix+tc.name, func(t *testing.T) {
 				bundle := wrapPayload(t, sc.schema, tc.raw)
+				if sc.schema != bundleSchema {
+					for _, load := range []func(io.Reader) (*Output, error){LoadBundle, LoadModel} {
+						if _, err := load(bytes.NewReader(bundle)); !errors.Is(err, ErrVersion) {
+							t.Fatalf("got %v, want ErrVersion", err)
+						}
+					}
+					return
+				}
 				out, err := LoadBundle(bytes.NewReader(bundle))
 				if err == nil {
 					t.Fatalf("damaged payload loaded: %+v", out)
@@ -408,11 +241,11 @@ func TestLoadBundleRejectsDamagedPayload(t *testing.T) {
 				}
 				out, err = LoadModel(bytes.NewReader(bundle))
 				switch {
-				case modelLoad && err != nil:
+				case tc.fitOnly && err != nil:
 					t.Fatalf("damage behind the model part failed the model load: %v", err)
-				case modelLoad && (out.Model.K != 2 || len(out.Model.TopicDocs) != 2):
+				case tc.fitOnly && (out.Model.K != 2 || len(out.Model.TopicDocs) != 2):
 					t.Fatalf("model load: K=%d, topic docs %v", out.Model.K, out.Model.TopicDocs)
-				case !modelLoad && !errors.Is(err, ErrCorrupt):
+				case !tc.fitOnly && !errors.Is(err, ErrCorrupt):
 					t.Fatalf("model load: got %v, want ErrCorrupt", err)
 				}
 			})
@@ -460,7 +293,7 @@ func TestLoadBundleRejectsLyingGzipTrailer(t *testing.T) {
 			lying := append([]byte(nil), stream...)
 			binary.LittleEndian.PutUint32(lying[len(lying)-4:], tc.claim)
 			var buf bytes.Buffer
-			if err := writeContainer(&buf, kindBundle, bundleSchemaModelFirst, lying, nil); err != nil {
+			if err := writeContainer(&buf, kindBundle, bundleSchema, lying, nil); err != nil {
 				t.Fatal(err)
 			}
 			var err error

@@ -21,9 +21,10 @@
 // hyperparameters, exclusions, φ, the Gaussians, per-topic recipe
 // counts, the log-likelihood trace) behind its byte length, then the
 // fit record (docs, θ, Y), so a server inflates the first part and
-// stops (LoadModel). Schema 2, the same columns with the fit record
-// first, and schema 1, a JSON document, are still read but no longer
-// written. Checkpoints carry gzipped JSON, the watermark plain JSON.
+// stops (LoadModel). It is the only bundle schema read: the schema-1
+// JSON and schema-2 binary bundles older builds wrote are refused with
+// ErrVersion and must be rebuilt. Checkpoints carry gzipped JSON, the
+// watermark plain JSON.
 package pipeline
 
 import (

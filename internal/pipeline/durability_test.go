@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -10,6 +9,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -68,66 +69,27 @@ func validBundleV2(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// jsonBundlePayload renders o as the schema-1 payload older builds
-// wrote: one gzip-compressed JSON document. A non-nil editModel
-// rewrites the model JSON first, to plant damage the digest covers.
-func jsonBundlePayload(t testing.TB, o *Output, editModel func([]byte) []byte) []byte {
-	t.Helper()
-	var modelBuf bytes.Buffer
-	if err := o.Model.WriteJSON(&modelBuf); err != nil {
-		t.Fatal(err)
-	}
-	model := modelBuf.Bytes()
-	if editModel != nil {
-		model = editModel(model)
-	}
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	enc := json.NewEncoder(gz)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(bundleJSON{
-		Version:       bundleSchemaJSON,
-		Docs:          o.Docs,
-		ExcludedTerms: o.ExcludedTerms,
-		Model:         json.RawMessage(model),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// schema1Bundle wraps o's schema-1 payload in the container, as the
-// registries' older generations hold it.
-func schema1Bundle(t testing.TB, o *Output) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := writeContainer(&buf, kindBundle, bundleSchemaJSON, jsonBundlePayload(t, o, nil), nil); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // validBundleV1 returns tinyOutput as the pre-container releases wrote
-// it: a naked gzip+JSON stream with no envelope. The loader no longer
-// reads that format; it must reject it as not a bundle.
+// it: a naked gzip stream with no envelope, here over the schema-3
+// payload. The loader does not read that format; it must reject it as
+// not a bundle.
 func validBundleV1(t testing.TB) []byte {
-	return jsonBundlePayload(t, tinyOutput(), nil)
+	t.Helper()
+	b, err := tinyOutput().bundlePayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
-// TestLoadBundleReadsBothFormats: the current loader accepts its own
-// schema-3 output and schema-1 and schema-2 containers from older
-// builds, recovering identical state from each.
+// TestLoadBundleReadsBothFormats: the loader accepts its own schema-3
+// output and recovers the saved state from it.
 func TestLoadBundleReadsBothFormats(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
 		{"v2-container", validBundleV2(t)},
-		{"schema1-container", schema1Bundle(t, tinyOutput())},
-		{"schema2-container", schema2Bundle(t, tinyOutput())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := LoadBundle(bytes.NewReader(tc.data))
@@ -185,23 +147,6 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 		}
 		return buf.Bytes()
 	}()
-	// A schema-1 container with a valid digest whose model JSON holds a
-	// ragged precision matrix: the model decoder must reject it, not
-	// panic building the matrix.
-	raggedPrecision := func() []byte {
-		ragged := func(model []byte) []byte {
-			out := bytes.Replace(model, []byte(`"precision":[[1,0],[0,1]]`), []byte(`"precision":[[1,0],[0]]`), 1)
-			if bytes.Equal(out, model) {
-				t.Fatal("ragged-precision edit matched nothing")
-			}
-			return out
-		}
-		var buf bytes.Buffer
-		if err := writeContainer(&buf, kindBundle, bundleSchemaJSON, jsonBundlePayload(t, tinyOutput(), ragged), nil); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
 	wrongKind := func() []byte {
 		var buf bytes.Buffer
 		if err := writeContainer(&buf, kindCheckpoint, 1, []byte("snapshot bytes"), nil); err != nil {
@@ -210,31 +155,38 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 		return buf.Bytes()
 	}()
 
+	// The schemas older builds wrote, refused by their header whatever
+	// the payload; the error names the schema and the remedy.
+	raw := rawBundlePayload(t, tinyOutput())
+	const remedy = "rebuild the bundle with texturetopics -bundle-out, or republish it with texturetopics -store … -promote"
+
 	cases := []struct {
 		name string
 		data []byte
 		want error
+		says string // a substring of the error, if any
 	}{
-		{"empty", nil, ErrCorrupt},
-		{"not-a-bundle", []byte("plain text, definitely not a bundle"), ErrCorrupt},
-		{"torn-magic", v2[:4], ErrCorrupt},
-		{"torn-header-length", v2[:10], ErrCorrupt},
-		{"torn-header", v2[:12+hdrLen/2], ErrCorrupt},
-		{"torn-payload", v2[:len(v2)-10], ErrCorrupt},
-		{"bit-flip-payload", flip(v2, payloadOff+5), ErrCorrupt},
-		{"bit-flip-last-byte", flip(v2, len(v2)-1), ErrCorrupt},
-		{"trailing-garbage", concat(v2, []byte("extra")), ErrCorrupt},
-		{"header-not-json", concat(v2[:12], bytes.Repeat([]byte{'x'}, hdrLen), v2[payloadOff:]), ErrCorrupt},
-		{"future-container-format", bytes.Replace(append([]byte(nil), v2...), []byte(`"format":2`), []byte(`"format":9`), 1), ErrVersion},
-		{"future-schema", futureSchema, ErrVersion},
-		{"checkpoint-as-bundle", wrongKind, ErrKind},
-		{"schema1-ragged-precision", raggedPrecision, ErrCorrupt},
+		{"empty", nil, ErrCorrupt, ""},
+		{"not-a-bundle", []byte("plain text, definitely not a bundle"), ErrCorrupt, ""},
+		{"torn-magic", v2[:4], ErrCorrupt, ""},
+		{"torn-header-length", v2[:10], ErrCorrupt, ""},
+		{"torn-header", v2[:12+hdrLen/2], ErrCorrupt, ""},
+		{"torn-payload", v2[:len(v2)-10], ErrCorrupt, ""},
+		{"bit-flip-payload", flip(v2, payloadOff+5), ErrCorrupt, ""},
+		{"bit-flip-last-byte", flip(v2, len(v2)-1), ErrCorrupt, ""},
+		{"trailing-garbage", concat(v2, []byte("extra")), ErrCorrupt, ""},
+		{"header-not-json", concat(v2[:12], bytes.Repeat([]byte{'x'}, hdrLen), v2[payloadOff:]), ErrCorrupt, ""},
+		{"future-container-format", bytes.Replace(append([]byte(nil), v2...), []byte(`"format":2`), []byte(`"format":9`), 1), ErrVersion, ""},
+		{"future-schema", futureSchema, ErrVersion, ""},
+		{"checkpoint-as-bundle", wrongKind, ErrKind, ""},
+		{"schema1-container", wrapPayload(t, 1, raw), ErrVersion, "bundle schema 1 is no longer read"},
+		{"schema2-container", wrapPayload(t, 2, raw), ErrVersion, "bundle schema 2 is no longer read"},
 		// Naked gzip streams, whole or damaged, are not bundles.
-		{"v1-naked-gzip", v1, ErrCorrupt},
-		{"v1-torn-gzip", v1[:len(v1)/2], ErrCorrupt},
-		{"v1-bit-flip", flip(v1, len(v1)/2), ErrCorrupt},
-		{"v1-trailing-garbage", concat(v1, []byte("junk after the stream")), ErrCorrupt},
-		{"v1-truncated-to-header", v1[:3], ErrCorrupt},
+		{"v1-naked-gzip", v1, ErrCorrupt, ""},
+		{"v1-torn-gzip", v1[:len(v1)/2], ErrCorrupt, ""},
+		{"v1-bit-flip", flip(v1, len(v1)/2), ErrCorrupt, ""},
+		{"v1-trailing-garbage", concat(v1, []byte("junk after the stream")), ErrCorrupt, ""},
+		{"v1-truncated-to-header", v1[:3], ErrCorrupt, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -245,6 +197,9 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 				}
 				if !errors.Is(err, tc.want) {
 					t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
+				}
+				if tc.says != "" && (!strings.Contains(err.Error(), tc.says) || !strings.Contains(err.Error(), remedy)) {
+					t.Fatalf("error %q does not say %q and how to rebuild", err, tc.says)
 				}
 				// The raw cause must be wrapped, not returned bare.
 				if err.Error() == "unexpected EOF" || err.Error() == "EOF" {
@@ -325,27 +280,6 @@ func TestLoadBundleAllocBudget(t *testing.T) {
 	t.Logf("raw payload %d bytes, load allocated %d (%.1f×)", len(raw), grew, float64(grew)/float64(len(raw)))
 }
 
-// TestLoadBundleFutureSchemaInV1Body: a schema-1 container whose JSON
-// document claims a future inner version is a version problem, not
-// corruption.
-func TestLoadBundleFutureSchemaInV1Body(t *testing.T) {
-	var body bytes.Buffer
-	gz := gzip.NewWriter(&body)
-	if _, err := gz.Write([]byte(`{"version":9,"docs":[],"model":{}}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := writeContainer(&buf, kindBundle, bundleSchemaJSON, body.Bytes(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBundle(&buf); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future inner schema should be ErrVersion, got %v", err)
-	}
-}
-
 // TestSaveBundleFileAtomic: the on-disk write is crash-safe — the
 // destination only ever holds a complete bundle, and a failed write
 // leaves an existing file untouched.
@@ -424,7 +358,7 @@ func checkpointSnapshot(t testing.TB) (*core.Data, core.Config, *core.Snapshot) 
 }
 
 // TestCheckpointFileRoundTrip: write → load recovers a snapshot that
-// resumes to the same result.
+// resumes, as the supervisor resumes a chain, to the same result.
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	data, cfg, snap := checkpointSnapshot(t)
 	dir := t.TempDir()
@@ -438,8 +372,20 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if loaded.Sweep != snap.Sweep {
 		t.Fatalf("sweep %d, want %d", loaded.Sweep, snap.Sweep)
 	}
-	if _, err := core.ResumeFit(data, cfg, loaded); err != nil {
-		t.Fatalf("loaded checkpoint does not resume: %v", err)
+	resume := func(sn *core.Snapshot) *core.Result {
+		s, err := core.ResumeSampler(data, cfg, sn)
+		if err != nil {
+			t.Fatalf("checkpoint does not resume: %v", err)
+		}
+		if err := s.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		return s.Estimate()
+	}
+	want, got := resume(snap), resume(loaded)
+	if !reflect.DeepEqual(want.Phi, got.Phi) || !reflect.DeepEqual(want.Theta, got.Theta) ||
+		!reflect.DeepEqual(want.Y, got.Y) || !reflect.DeepEqual(want.LogLik, got.LogLik) {
+		t.Fatal("the loaded checkpoint resumes to another result than the one written")
 	}
 }
 

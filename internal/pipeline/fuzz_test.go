@@ -19,12 +19,13 @@ import (
 // failure; and allocation stays within deflate's maximum expansion of
 // the input, because no length the input claims — container payload
 // or gzip trailer — sizes an allocation past what the bytes can hold.
-// Seeds cover every payload schema plus the interesting damage shapes
-// so the fuzzer starts at the format boundaries instead of
-// rediscovering them.
+// Seeds cover the schema read, the two older schemas refused, and the
+// interesting damage shapes, so the fuzzer starts at the format
+// boundaries instead of rediscovering them.
 func FuzzLoadBundle(f *testing.F) {
 	v2 := validBundleV2(f)
-	s1 := schema1Bundle(f, tinyOutput())
+	raw := rawBundlePayload(f, tinyOutput())
+	s1 := wrapPayload(f, 1, raw)
 	f.Add(v2)
 	f.Add(s1)
 	f.Add(v2[:len(v2)/2])                          // torn container
@@ -36,7 +37,7 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add([]byte(`{"version":1,"docs":[]}`))       // naked JSON, no gzip
 	f.Add(append(append([]byte(nil), v2...), '!')) // trailing byte
 	f.Add(hugeClaim(f, kindBundle))                // 94 bytes claiming a 2 GiB payload
-	f.Add(schema2Bundle(f, tinyOutput()))
+	f.Add(wrapPayload(f, 2, raw))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out *Output
@@ -66,12 +67,12 @@ func FuzzLoadModel(f *testing.F) {
 	cur := validBundleV2(f) // schema 3
 	raw := rawBundlePayload(f, tinyOutput())
 	f.Add(cur)
-	f.Add(schema2Bundle(f, tinyOutput()))
-	f.Add(schema1Bundle(f, tinyOutput()))
-	f.Add(cur[:len(cur)/2])                                         // torn container
-	f.Add(append(append([]byte(nil), cur...), '!'))                 // trailing byte
-	f.Add(hugeClaim(f, kindBundle))                                 // 94 bytes claiming a 2 GiB payload
-	f.Add(wrapPayload(f, bundleSchemaModelFirst, raw[:len(raw)-1])) // fit record cut, re-digested
+	f.Add(wrapPayload(f, 2, raw))
+	f.Add(wrapPayload(f, 1, raw))
+	f.Add(cur[:len(cur)/2])                               // torn container
+	f.Add(append(append([]byte(nil), cur...), '!'))       // trailing byte
+	f.Add(hugeClaim(f, kindBundle))                       // 94 bytes claiming a 2 GiB payload
+	f.Add(wrapPayload(f, bundleSchema, raw[:len(raw)-1])) // fit record cut, re-digested
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out *Output
@@ -98,8 +99,8 @@ func FuzzLoadModel(f *testing.F) {
 }
 
 // FuzzBundlePayload drives arbitrary bytes straight into the payload
-// decoders — schema 3 whole and its model part alone, and schema 2 —
-// which FuzzLoadBundle cannot reach: its inputs almost never carry a
+// decoders — the whole payload and the model part alone — which
+// FuzzLoadBundle cannot reach: its inputs almost never carry a
 // matching SHA-256 digest. Invariants: no panic; every rejection wraps
 // ErrCorrupt; allocation stays proportional to the input, because
 // every length prefix is checked against the bytes left before it
@@ -110,35 +111,29 @@ func FuzzBundlePayload(f *testing.F) {
 	for _, n := range []int{0, 1, 4, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
 		f.Add(raw[:n]) // truncations
 	}
-	// Huge and "negative" (wrapped) length prefixes. Schema 3: the
-	// model part's length, its float count, int count, K and V, and
-	// the fit record's float count, int count and doc count. Schema 2:
-	// the float count, int count, K, V, and the doc count after the
-	// model scalars.
-	raw2 := rawSchema2Payload(f, tinyOutput())
+	// Huge and "negative" (wrapped) length prefixes: the model part's
+	// length, its float count, int count, K and V, the exclusion count,
+	// the first key's length and its value count, and the loglik
+	// length; then the fit record's float count, int count, doc count
+	// and first ID length.
 	_, w := binary.Uvarint(raw)
 	fitStart := modelPartEnd(f, raw)
-	const docsOff2 = 4 + 3*8 + 1
-	for _, p := range []struct {
-		raw  []byte
-		offs []int
-	}{
-		{raw, []int{0, w, w + 1, w + 2, w + 3, fitStart, fitStart + 1, fitStart + 2}},
-		{raw2, []int{0, 1, 2, 3, docsOff2}},
-	} {
-		for _, off := range p.offs {
-			for _, v := range []uint64{1 << 40, math.MaxUint64} {
-				bad := binary.AppendUvarint(append([]byte(nil), p.raw[:off]...), v)
-				f.Add(append(bad, p.raw[off+1:]...))
-			}
+	excluded := w + 4 + 3*8 + 1
+	const key = len("ぷるぷる")
+	offs := []int{0, w, w + 1, w + 2, w + 3, excluded, excluded + 1, excluded + 2 + key, fitStart - 1 - 2*8,
+		fitStart, fitStart + 1, fitStart + 2, fitStart + 3}
+	for _, off := range offs {
+		for _, v := range []uint64{1 << 40, math.MaxUint64} {
+			bad := binary.AppendUvarint(append([]byte(nil), raw[:off]...), v)
+			f.Add(append(bad, raw[off+1:]...))
 		}
 	}
 	f.Add(bytes.Repeat([]byte{0xff}, 16)) // overlong varint
-	f.Add(raw2)
-	f.Add(raw[w:fitStart]) // the model part alone
+	f.Add(raw[fitStart:])                 // the fit record alone
+	f.Add(raw[w:fitStart])                // the model part alone
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, decode := range []func([]byte) (*Output, error){decodeBundlePayload, decodeModelOutput, decodeSchema2Payload} {
+		for _, decode := range []func([]byte) (*Output, error){decodeBundlePayload, decodeModelOutput} {
 			checkPayloadDecode(t, data, decode)
 		}
 	})

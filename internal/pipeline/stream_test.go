@@ -43,7 +43,8 @@ func TestRunStreamMatchesInMemory(t *testing.T) {
 	opts.Model.Iterations = 60
 	opts.Model.BurnIn = 30
 
-	recs, rep, err := recipe.ReadJSONLenient(bytes.NewReader(raw), 0)
+	var recs []*recipe.Recipe
+	rep, err := recipe.StreamJSONLenient(bytes.NewReader(raw), 0, func(r *recipe.Recipe) error { recs = append(recs, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,25 +35,10 @@ type DecodeReport struct {
 	Skipped []SkippedRecord `json:"skipped,omitempty"`
 }
 
-// ReadJSONLenient reads recipes like ReadJSON, but in a streaming
+// StreamJSONLenient reads recipes like ReadJSON, but in a streaming
 // record-at-a-time mode that skips malformed records instead of
 // failing the whole file — the reality of scraped recipe dumps, where
-// one bad row should not discard a million good ones. It accepts both
-// framings StreamJSONLenient does (JSON array and JSONL); see there
-// for the leniency contract.
-func ReadJSONLenient(r io.Reader, maxRecordBytes int) ([]*Recipe, *DecodeReport, error) {
-	var out []*Recipe
-	report, err := StreamJSONLenient(r, maxRecordBytes, func(rec *Recipe) error {
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, report, nil
-}
-
-// StreamJSONLenient is the callback form of ReadJSONLenient: each
+// one bad row should not discard a million good ones. Each
 // successfully decoded recipe is handed to fn without the decoder ever
 // holding more than one record in memory, which is what lets corpus
 // ingestion run in O(batch) rather than O(corpus) memory. A non-nil

@@ -3,10 +3,21 @@ package recipe
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// readLenient collects every recipe StreamJSONLenient decodes from r.
+func readLenient(r io.Reader, maxRecordBytes int) ([]*Recipe, *DecodeReport, error) {
+	var out []*Recipe
+	report, err := StreamJSONLenient(r, maxRecordBytes, func(rec *Recipe) error {
+		out = append(out, rec)
+		return nil
+	})
+	return out, report, err
+}
 
 func TestReadJSONLenientSkipsMalformedRecords(t *testing.T) {
 	input := `[
@@ -15,7 +26,7 @@ func TestReadJSONLenientSkipsMalformedRecords(t *testing.T) {
 		null,
 		{"id":"r3","title":"ムース","description":"ふわふわ","ingredients":[{"name":"ゼラチン","amount":"5g"}]}
 	]`
-	recipes, report, err := ReadJSONLenient(strings.NewReader(input), 0)
+	recipes, report, err := readLenient(strings.NewReader(input), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +52,7 @@ func TestReadJSONLenientSkipsMalformedRecords(t *testing.T) {
 func TestReadJSONLenientEnforcesRecordSizeCap(t *testing.T) {
 	huge := `{"id":"big","title":"` + strings.Repeat("あ", 400) + `","description":"x"}`
 	input := `[{"id":"ok","title":"t","description":"d"},` + huge + `]`
-	recipes, report, err := ReadJSONLenient(strings.NewReader(input), 256)
+	recipes, report, err := readLenient(strings.NewReader(input), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +74,14 @@ func TestReadJSONLenientStrictFraming(t *testing.T) {
 		"truncated":    `[{"id":"a"},`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := ReadJSONLenient(strings.NewReader(input), 0); err == nil {
+			if _, _, err := readLenient(strings.NewReader(input), 0); err == nil {
 				t.Fatal("broken framing decoded without error")
 			}
 		})
 	}
 	// A bare object is one JSONL record, a drop-in for single-record
 	// ingestion rather than an error.
-	recipes, report, err := ReadJSONLenient(strings.NewReader(`{"id":"x","title":"t","description":"d"}`), 0)
+	recipes, report, err := readLenient(strings.NewReader(`{"id":"x","title":"t","description":"d"}`), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +106,7 @@ func TestReadJSONLenientMatchesStrictOnCleanInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenient, report, err := ReadJSONLenient(strings.NewReader(buf.String()), 0)
+	lenient, report, err := readLenient(strings.NewReader(buf.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +132,7 @@ func TestReadJSONLenientOffsetIsRecordStart(t *testing.T) {
 	input := `[ {"id":"r1","title":"t","description":"d"} ,
 		{"id":"r2","title":123,"description":"bad"},
 		null ]`
-	_, report, err := ReadJSONLenient(strings.NewReader(input), 0)
+	_, report, err := readLenient(strings.NewReader(input), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +271,11 @@ func TestReadJSONLenientJSONLRoundTrip(t *testing.T) {
 		lines.Write(b)
 		lines.WriteByte('\n')
 	}
-	fromArr, _, err := ReadJSONLenient(strings.NewReader(arr.String()), 0)
+	fromArr, _, err := readLenient(strings.NewReader(arr.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromLines, _, err := ReadJSONLenient(strings.NewReader(lines.String()), 0)
+	fromLines, _, err := readLenient(strings.NewReader(lines.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

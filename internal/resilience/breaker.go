@@ -61,7 +61,6 @@ type Breaker struct {
 	state    BreakerState
 	failures int
 	openedAt time.Time
-	opens    int64
 }
 
 // NewBreaker builds a closed breaker. threshold < 1 and cooldown <= 0
@@ -143,20 +142,4 @@ func (b *Breaker) open() {
 	b.state = BreakerOpen
 	b.failures = 0
 	b.openedAt = b.now()
-	b.opens++
-}
-
-// State returns the current circuit position (open circuits past their
-// cooldown still report open until a probe is admitted).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// Opens counts closed→open transitions over the breaker's lifetime.
-func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }

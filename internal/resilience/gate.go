@@ -28,8 +28,7 @@ type Gate struct {
 	slots   chan struct{}
 	maxWait time.Duration
 
-	admitted atomic.Int64
-	shed     atomic.Int64
+	shed atomic.Int64
 }
 
 // NewGate builds a gate admitting capacity concurrent holders, each
@@ -52,7 +51,6 @@ func NewGate(capacity int, maxWait time.Duration) *Gate {
 func (g *Gate) Acquire(ctx context.Context) error {
 	select {
 	case g.slots <- struct{}{}:
-		g.admitted.Add(1)
 		return nil
 	default:
 	}
@@ -64,7 +62,6 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	defer timer.Stop()
 	select {
 	case g.slots <- struct{}{}:
-		g.admitted.Add(1)
 		return nil
 	case <-timer.C:
 		g.shed.Add(1)
@@ -83,7 +80,6 @@ func (g *Gate) Acquire(ctx context.Context) error {
 func (g *Gate) TryAcquire() bool {
 	select {
 	case g.slots <- struct{}{}:
-		g.admitted.Add(1)
 		return true
 	default:
 		return false
@@ -102,9 +98,6 @@ func (g *Gate) Release() {
 
 // InUse is the number of currently admitted holders.
 func (g *Gate) InUse() int { return len(g.slots) }
-
-// Admitted is the total number of successful Acquires.
-func (g *Gate) Admitted() int64 { return g.admitted.Load() }
 
 // Shed is the total number of Acquires rejected with ErrSaturated.
 func (g *Gate) Shed() int64 { return g.shed.Load() }

@@ -28,8 +28,8 @@ func TestGateAdmitsUpToCapacity(t *testing.T) {
 	if err := g.Acquire(ctx); err != nil {
 		t.Errorf("post-release acquire = %v", err)
 	}
-	if g.Shed() != 1 || g.Admitted() != 3 {
-		t.Errorf("shed=%d admitted=%d", g.Shed(), g.Admitted())
+	if g.Shed() != 1 {
+		t.Errorf("shed=%d", g.Shed())
 	}
 }
 
@@ -48,8 +48,8 @@ func TestGateTryAcquire(t *testing.T) {
 	if !g.TryAcquire() {
 		t.Error("TryAcquire refused a released slot")
 	}
-	if g.InUse() != 2 || g.Admitted() != 3 {
-		t.Errorf("inUse=%d admitted=%d", g.InUse(), g.Admitted())
+	if g.InUse() != 2 {
+		t.Errorf("inUse=%d", g.InUse())
 	}
 }
 

@@ -141,7 +141,7 @@ func TestCacheGenerationSwapInvalidates(t *testing.T) {
 		t.Fatalf("pre-swap repeat not a hit")
 	}
 
-	if err := s.SwapOutput(cloneOf(altOutput(t))); err != nil {
+	if err := s.SwapOutput(cloneOf(t, altOutput(t))); err != nil {
 		t.Fatal(err)
 	}
 	swapped := postAnnotate(h, jellyJSON)
@@ -160,7 +160,7 @@ func TestCacheGenerationSwapInvalidates(t *testing.T) {
 	plain := quietOptions()
 	plain.Pool = 1
 	plain.Logf = t.Logf
-	ps, err := NewWithOptions(cloneOf(altOutput(t)), plain)
+	ps, err := NewWithOptions(cloneOf(t, altOutput(t)), plain)
 	if err != nil {
 		t.Fatal(err)
 	}

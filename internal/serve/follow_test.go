@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pipeline"
 	"repro/internal/resilience"
 	"repro/internal/storage"
 )
@@ -266,6 +268,58 @@ func TestFollowerRefusesMangledBundle(t *testing.T) {
 	}
 	if s := rig.fol.Status(); s.Generation != genB.ID || s.Degraded {
 		t.Fatalf("did not converge after blob healed: %+v", s)
+	}
+}
+
+// TestFollowerRefusesOldSchemaBundle: a newly promoted generation that
+// an older build wrote as a schema-2 bundle is refused — degraded
+// reported, last-good model kept — and /statusz names the schema and
+// how to rebuild the bundle.
+func TestFollowerRefusesOldSchemaBundle(t *testing.T) {
+	ctx := ctxServe(t)
+	rig := newFollowerRig(t, quietOptions(), FollowOptions{Interval: time.Hour})
+
+	genA := publishFixture(t, rig.reg, "A")
+	if err := rig.reg.Promote(ctx, genA.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.fol.Poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The header names the schema outside the digested payload.
+	b, _, err := fixtureOutput(t).EncodeBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(b, []byte(`"schema":3`), []byte(`"schema":2`), 1)
+	if bytes.Equal(old, b) {
+		t.Fatal("bundle header carries no schema 3")
+	}
+	genB, err := rig.reg.Publish(ctx, old, "schema 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.reg.Promote(ctx, genB.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.fol.Poll(ctx); !errors.Is(err, pipeline.ErrVersion) {
+		t.Fatalf("poll over a schema-2 bundle: %v, want ErrVersion", err)
+	}
+	if s := rig.fol.Status(); !s.Degraded || s.Generation != genA.ID {
+		t.Fatalf("schema-2 generation did not degrade safely: %+v", s)
+	}
+	st := statuszStats(t, rig.srv.Handler())
+	if !st.RegistryDegraded || st.Registry == nil {
+		t.Fatalf("statusz not degraded: %+v", st)
+	}
+	for _, want := range []string{"bundle schema 2", "texturetopics -bundle-out", "-promote"} {
+		if !strings.Contains(st.Registry.LastError, want) {
+			t.Errorf("statusz last_error %q does not say %q", st.Registry.LastError, want)
+		}
+	}
+	if rec := postAnnotate(rig.srv.Handler(), jellyJSON); rec.Code != http.StatusOK {
+		t.Fatalf("annotate on last-good model: %d", rec.Code)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/resilience"
 )
 
@@ -74,8 +75,13 @@ func TestSwapOutputRejectsDegenerateModel(t *testing.T) {
 	s := newTestServer(t, quietOptions())
 	h := s.Handler()
 
-	bad := cloneOutput(t)
-	bad.Model.Phi = bad.Model.Phi[:1] // fewer φ rows than K
+	src := fixtureOutput(t)
+	m := src.Model
+	bad := &pipeline.Output{Dict: src.Dict, ExcludedTerms: src.ExcludedTerms, Model: &core.Result{
+		K: m.K, V: m.V, Alpha: m.Alpha, Gamma: m.Gamma, UseEmulsion: m.UseEmulsion, EmulsionWeight: m.EmulsionWeight,
+		Phi: m.Phi[:1], // fewer φ rows than K
+		Gel: m.Gel, Emu: m.Emu, LogLik: m.LogLik, TopicDocs: m.DocsPerTopic(),
+	}}
 	err := s.SwapOutput(bad)
 	if err == nil {
 		t.Fatal("swap accepted a model whose kernel cannot build")

@@ -344,12 +344,6 @@ func (s *Server) Reload(ctx context.Context) (int64, error) {
 	return s.generation.Load(), nil
 }
 
-// New builds a ready server from a fitted pipeline output with
-// default options.
-func New(out *pipeline.Output) (*Server, error) {
-	return NewWithOptions(out, DefaultOptions())
-}
-
 // NewWithOptions builds a ready server from a fitted pipeline output.
 func NewWithOptions(out *pipeline.Output, opts Options) (*Server, error) {
 	s := NewPending(opts)

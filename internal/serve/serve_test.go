@@ -456,7 +456,7 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(&pipeline.Output{}); err == nil {
+	if _, err := NewWithOptions(&pipeline.Output{}, DefaultOptions()); err == nil {
 		t.Error("unfitted output should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -122,20 +123,27 @@ func TestSwapOutputConcurrent(t *testing.T) {
 	}
 }
 
-// cloneOutput returns the fixture with a distinct Output and Model
-// header, as a real reload (which decodes a fresh bundle) would
-// produce. Swapping the very same *pipeline.Output in while it serves
-// is not supported: buildPool installs fold-in telemetry on the model.
+// cloneOutput returns the fixture with a distinct Output and Model,
+// as a real reload produces: it decodes a fresh bundle. Swapping the
+// very same *pipeline.Output in while it serves is not supported:
+// buildPool installs fold-in telemetry on the model.
 func cloneOutput(t *testing.T) *pipeline.Output {
 	t.Helper()
-	return cloneOf(fixtureOutput(t))
+	return cloneOf(t, fixtureOutput(t))
 }
 
 // cloneOf is cloneOutput for an arbitrary source output.
-func cloneOf(src *pipeline.Output) *pipeline.Output {
-	o := *src
-	o.Model = src.Model.ShallowClone()
-	return &o
+func cloneOf(t *testing.T, src *pipeline.Output) *pipeline.Output {
+	t.Helper()
+	b, _, err := src.EncodeBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := pipeline.LoadBundle(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }
 
 func postReload(h http.Handler, token string) *httptest.ResponseRecorder {

@@ -33,9 +33,6 @@ func NewGaussianBank(k, d int) *GaussianBank {
 	}
 }
 
-// Dim returns the component dimension.
-func (b *GaussianBank) Dim() int { return b.d }
-
 // SetFromGaussians copies the parameters of gs into the bank's flat
 // layout. Call it after components are redrawn; it allocates nothing.
 func (b *GaussianBank) SetFromGaussians(gs []*Gaussian) error {

@@ -118,11 +118,6 @@ func (g *Gaussian) quadForm(x []float64) float64 {
 	return q
 }
 
-// Sample draws one sample.
-func (g *Gaussian) Sample(r *RNG) []float64 {
-	return r.MVNormal(g.Mean, g.Cov())
-}
-
 // KLGaussian returns KL(p‖q) for multivariate normals:
 //
 //	½ [ tr(Λq Σp) + (μq−μp)ᵀ Λq (μq−μp) − d + log|Σq|/|Σp| ].

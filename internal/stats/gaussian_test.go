@@ -50,7 +50,7 @@ func TestGaussianCovRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	prod := g.Cov().Mul(prec)
-	if prod.MaxAbsDiff(Identity(3)) > 1e-8 {
+	if maxAbsDiff(prod, ScaledIdentity(3, 1)) > 1e-8 {
 		t.Errorf("Cov·Precision = %v", prod)
 	}
 }
@@ -108,7 +108,7 @@ func TestGaussianSampleMoments(t *testing.T) {
 	const n = 20000
 	xs := make([][]float64, n)
 	for i := range xs {
-		xs[i] = g.Sample(r)
+		xs[i] = r.MVNormal(g.Mean, g.Cov())
 	}
 	m := MeanVec(xs)
 	if math.Abs(m[0]-2) > 0.02 || math.Abs(m[1]+1) > 0.05 {
@@ -150,7 +150,7 @@ func TestStudentTHeavierTails(t *testing.T) {
 }
 
 func TestStudentTRejectsNonPositiveNu(t *testing.T) {
-	if _, err := NewStudentT([]float64{0}, Identity(1), 0); err == nil {
+	if _, err := NewStudentT([]float64{0}, ScaledIdentity(1, 1), 0); err == nil {
 		t.Error("want error for ν=0")
 	}
 }
@@ -159,7 +159,7 @@ func TestNewGaussianRejectsBadPrecision(t *testing.T) {
 	if _, err := NewGaussian([]float64{0, 0}, MatFromRows([][]float64{{1, 2}, {2, 1}})); err == nil {
 		t.Error("want error for indefinite precision")
 	}
-	if _, err := NewGaussian([]float64{0}, Identity(2)); err == nil {
+	if _, err := NewGaussian([]float64{0}, ScaledIdentity(2, 1)); err == nil {
 		t.Error("want error for dim mismatch")
 	}
 }
@@ -178,7 +178,7 @@ func TestKLGaussianMatchesMonteCarlo(t *testing.T) {
 	const n = 60000
 	mc := 0.0
 	for i := 0; i < n; i++ {
-		x := p.Sample(r)
+		x := r.MVNormal(p.Mean, p.Cov())
 		mc += p.LogPdf(x) - q.LogPdf(x)
 	}
 	mc /= n

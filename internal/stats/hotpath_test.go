@@ -39,8 +39,8 @@ func TestCholeskyIntoMatchesNewCholesky(t *testing.T) {
 		if err := CholeskyInto(got, a); err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
-		if got.MaxAbsDiff(want.L) != 0 {
-			t.Errorf("d=%d: CholeskyInto differs from NewCholesky by %g", d, got.MaxAbsDiff(want.L))
+		if maxAbsDiff(got, want.L) != 0 {
+			t.Errorf("d=%d: CholeskyInto differs from NewCholesky by %g", d, maxAbsDiff(got, want.L))
 		}
 	}
 	if err := CholeskyInto(NewMat(2, 2), ScaledIdentity(2, -1)); !errors.Is(err, ErrNotPositiveDefinite) {
@@ -61,7 +61,7 @@ func TestRank1UpdateMatchesRefactorization(t *testing.T) {
 		updated := a.Clone()
 		updated.AddOuterScaled(1, x, x)
 		want := MustCholesky(updated)
-		if diff := l.MaxAbsDiff(want.L); diff > 1e-10 {
+		if diff := maxAbsDiff(l, want.L); diff > 1e-10 {
 			t.Errorf("d=%d: rank-1 update off by %g", d, diff)
 		}
 	}
@@ -82,7 +82,7 @@ func TestRank1DowndateMatchesRefactorization(t *testing.T) {
 		downdated := a.Clone()
 		downdated.AddOuterScaled(-1, x, x)
 		want := MustCholesky(downdated)
-		if diff := l.MaxAbsDiff(want.L); diff > 1e-10 {
+		if diff := maxAbsDiff(l, want.L); diff > 1e-10 {
 			t.Errorf("d=%d: rank-1 downdate off by %g", d, diff)
 		}
 	}
@@ -95,13 +95,13 @@ func TestRank1DowndateMatchesRefactorization(t *testing.T) {
 	if err := Rank1Downdate(l, x, work); err != nil {
 		t.Fatal(err)
 	}
-	if diff := l.MaxAbsDiff(MustCholesky(a).L); diff > 1e-10 {
+	if diff := maxAbsDiff(l, MustCholesky(a).L); diff > 1e-10 {
 		t.Errorf("update/downdate round trip off by %g", diff)
 	}
 }
 
 func TestRank1DowndateRejectsIndefinite(t *testing.T) {
-	l := MustCholesky(Identity(2)).L
+	l := MustCholesky(ScaledIdentity(2, 1)).L
 	// I − xxᵀ with ‖x‖ > 1 is indefinite.
 	err := Rank1Downdate(l, []float64{2, 0}, make([]float64, 2))
 	if !errors.Is(err, ErrNotPositiveDefinite) {
@@ -225,7 +225,7 @@ func TestPosteriorWithBitIdenticalToSeed(t *testing.T) {
 					t.Fatalf("d=%d n=%d: μ'[%d] %v != %v", d, n, i, got.Mu0[i], want.Mu0[i])
 				}
 			}
-			if diff := got.S.MaxAbsDiff(want.S); diff != 0 {
+			if diff := maxAbsDiff(got.S, want.S); diff != 0 {
 				t.Fatalf("d=%d n=%d: S' differs by %g", d, n, diff)
 			}
 		}

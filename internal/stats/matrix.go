@@ -44,15 +44,6 @@ func MatFromRows(rows [][]float64) *Mat {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Mat {
-	m := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // ScaledIdentity returns s·I of size n.
 func ScaledIdentity(n int, s float64) *Mat {
 	m := NewMat(n, n)
@@ -79,26 +70,6 @@ func (m *Mat) Clone() *Mat {
 func (m *Mat) Row(i int) []float64 {
 	out := make([]float64, m.C)
 	copy(out, m.Data[i*m.C:(i+1)*m.C])
-	return out
-}
-
-// Add returns m + b.
-func (m *Mat) Add(b *Mat) *Mat {
-	m.assertSameShape(b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// Sub returns m − b.
-func (m *Mat) Sub(b *Mat) *Mat {
-	m.assertSameShape(b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
-	}
 	return out
 }
 
@@ -227,18 +198,6 @@ func (m *Mat) Symmetrize() {
 			m.Set(j, i, v)
 		}
 	}
-}
-
-// MaxAbsDiff returns max |m−b| elementwise; used by tests.
-func (m *Mat) MaxAbsDiff(b *Mat) float64 {
-	m.assertSameShape(b)
-	d := 0.0
-	for i := range m.Data {
-		if v := math.Abs(m.Data[i] - b.Data[i]); v > d {
-			d = v
-		}
-	}
-	return d
 }
 
 // String renders the matrix for debugging.

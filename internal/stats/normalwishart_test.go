@@ -9,7 +9,7 @@ import (
 func testPrior(t *testing.T, dim int) *NormalWishart {
 	t.Helper()
 	mu0 := make([]float64, dim)
-	nw, err := NewNormalWishart(mu0, 1.0, float64(dim)+2, Identity(dim).Scale(0.5))
+	nw, err := NewNormalWishart(mu0, 1.0, float64(dim)+2, ScaledIdentity(dim, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestNWPosteriorEmptyIsPrior(t *testing.T) {
 	if post.Beta != nw.Beta || post.Nu != nw.Nu {
 		t.Error("empty posterior must equal prior")
 	}
-	if post.S.MaxAbsDiff(nw.S) > 1e-15 {
+	if maxAbsDiff(post.S, nw.S) > 1e-15 {
 		t.Error("empty posterior scale must equal prior scale")
 	}
 	// And must not alias.
@@ -72,7 +72,7 @@ func TestNWPosteriorConcentratesOnTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lam.MaxAbsDiff(truePrec) > 0.06*truePrec.At(0, 0) {
+	if maxAbsDiff(lam, truePrec) > 0.06*truePrec.At(0, 0) {
 		t.Errorf("E[Λ] = %v, want ≈ %v", lam, truePrec)
 	}
 }
@@ -116,8 +116,8 @@ func TestNWLogMarginalLikelihoodPrefersMatchingData(t *testing.T) {
 	near := make([][]float64, 50)
 	far := make([][]float64, 50)
 	for i := range near {
-		near[i] = r.MVNormal([]float64{0, 0}, Identity(2).Scale(0.3))
-		far[i] = r.MVNormal([]float64{25, 25}, Identity(2).Scale(0.3))
+		near[i] = r.MVNormal([]float64{0, 0}, ScaledIdentity(2, 0.3))
+		far[i] = r.MVNormal([]float64{25, 25}, ScaledIdentity(2, 0.3))
 	}
 	if nw.LogMarginalLikelihood(near) <= nw.LogMarginalLikelihood(far) {
 		t.Error("marginal likelihood should prefer data near the prior mean")
@@ -144,13 +144,13 @@ func TestNWLogMarginalDecomposesByChainRule(t *testing.T) {
 }
 
 func TestNWValidation(t *testing.T) {
-	if _, err := NewNormalWishart([]float64{0, 0}, 0, 4, Identity(2)); err == nil {
+	if _, err := NewNormalWishart([]float64{0, 0}, 0, 4, ScaledIdentity(2, 1)); err == nil {
 		t.Error("want error for β=0")
 	}
-	if _, err := NewNormalWishart([]float64{0, 0}, 1, 0.5, Identity(2)); err == nil {
+	if _, err := NewNormalWishart([]float64{0, 0}, 1, 0.5, ScaledIdentity(2, 1)); err == nil {
 		t.Error("want error for ν ≤ dim−1")
 	}
-	if _, err := NewNormalWishart([]float64{0, 0}, 1, 4, Identity(3)); err == nil {
+	if _, err := NewNormalWishart([]float64{0, 0}, 1, 4, ScaledIdentity(3, 1)); err == nil {
 		t.Error("want error for dim mismatch")
 	}
 	if _, err := NewNormalWishart([]float64{0, 0}, 1, 4, MatFromRows([][]float64{{1, 2}, {2, 1}})); err == nil {

@@ -94,45 +94,6 @@ func (a *NWAccum) Remove(x []float64) {
 	a.predOK = false
 }
 
-// Posterior computes the Normal-Wishart posterior from the
-// accumulated statistics. With sample mean x̄ = sum/n and scatter
-// Σxxᵀ − n·x̄x̄ᵀ the update matches NormalWishart.Posterior.
-func (a *NWAccum) Posterior() *NormalWishart {
-	d := a.prior.Dim()
-	if a.n == 0 {
-		return &NormalWishart{Mu0: CloneVec(a.prior.Mu0), Beta: a.prior.Beta, Nu: a.prior.Nu, S: a.prior.S.Clone()}
-	}
-	mean := make([]float64, d)
-	for i := range mean {
-		mean[i] = a.sum[i] / a.n
-	}
-	scatter := a.outer.Clone()
-	scatter.AddOuterScaled(-a.n, mean, mean)
-	scatter.Symmetrize()
-	// Rank-one cancellation can leave slightly negative diagonals.
-	for i := 0; i < d; i++ {
-		if scatter.At(i, i) < 0 {
-			scatter.Set(i, i, 0)
-		}
-	}
-
-	betaC := a.prior.Beta + a.n
-	nuC := a.prior.Nu + a.n
-	muC := make([]float64, d)
-	for i := range muC {
-		muC[i] = (a.prior.Beta*a.prior.Mu0[i] + a.n*mean[i]) / betaC
-	}
-	sInv := a.prior.priorSInv().Clone()
-	diff := SubVec(mean, a.prior.Mu0)
-	sInv.AddInPlace(scatter)
-	sInv.AddOuterScaled(a.prior.Beta*a.n/betaC, diff, diff)
-	sC, err := Inverse(RegularizeSPD(sInv, 1e-12))
-	if err != nil {
-		panic(err)
-	}
-	return &NormalWishart{Mu0: muC, Beta: betaC, Nu: nuC, S: sC}
-}
-
 // State exports the raw sufficient statistics (count, sum vector, sum
 // of outer products) as copies, so a checkpoint can persist the exact
 // floating-point state rather than re-deriving it from the member list

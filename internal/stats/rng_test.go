@@ -145,7 +145,7 @@ func TestMVNormalMoments(t *testing.T) {
 		}
 	}
 	c := CovMat(xs)
-	if c.MaxAbsDiff(cov) > 0.08 {
+	if maxAbsDiff(c, cov) > 0.08 {
 		t.Errorf("MVNormal cov = %v, want %v", c, cov)
 	}
 }
@@ -161,14 +161,14 @@ func TestWishartMean(t *testing.T) {
 	}
 	mean := acc.Scale(1.0 / n)
 	want := scale.Scale(df)
-	if mean.MaxAbsDiff(want) > 0.12 {
+	if maxAbsDiff(mean, want) > 0.12 {
 		t.Errorf("Wishart mean = %v, want %v", mean, want)
 	}
 }
 
 func TestWishartSamplesArePD(t *testing.T) {
 	r := NewRNG(10, 1)
-	scale := Identity(3).Scale(0.2)
+	scale := ScaledIdentity(3, 0.2)
 	for i := 0; i < 200; i++ {
 		w := r.Wishart(5, scale)
 		if _, err := NewCholesky(w); err != nil {

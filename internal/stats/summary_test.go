@@ -28,7 +28,7 @@ func TestMeanVecCovMat(t *testing.T) {
 	c := CovMat(xs)
 	// cov (n-1 denominator): [[2,4],[4,8]]
 	want := MatFromRows([][]float64{{2, 4}, {4, 8}})
-	if c.MaxAbsDiff(want) > 1e-12 {
+	if maxAbsDiff(c, want) > 1e-12 {
 		t.Errorf("CovMat = %v, want %v", c, want)
 	}
 }

@@ -29,31 +29,17 @@ type KVStore struct {
 
 	mu      sync.RWMutex
 	objects map[string][]byte
-	calls   map[string]int64
 }
 
 // NewKVStore builds an empty in-process store.
 func NewKVStore() *KVStore {
-	return &KVStore{objects: map[string][]byte{}, calls: map[string]int64{}}
+	return &KVStore{objects: map[string][]byte{}}
 }
 
 // Name identifies the backend in metrics.
 func (s *KVStore) Name() string { return "kv" }
 
-// Calls reports how many times op ("put", "get", "stat", "list")
-// reached the backing map — faults that error before the map count
-// too, since a real remote would still see the request. Tests use it
-// to prove a breaker stopped hammering a dead backend.
-func (s *KVStore) Calls(op string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.calls[op]
-}
-
 func (s *KVStore) enter(ctx context.Context, op string) error {
-	s.mu.Lock()
-	s.calls[op]++
-	s.mu.Unlock()
 	return resilience.Inject(ctx, s.Faults, "kv."+op)
 }
 

@@ -89,9 +89,6 @@ func NewRobust(inner BundleStore, opts RobustOptions) *Robust {
 // a backend of its own.
 func (r *Robust) Name() string { return r.inner.Name() }
 
-// Breaker exposes the circuit for status reporting.
-func (r *Robust) Breaker() *resilience.Breaker { return r.breaker }
-
 func (r *Robust) count(op, outcome string) {
 	if r.reg == nil {
 		return

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -175,17 +176,45 @@ func TestFSStoreRootOutage(t *testing.T) {
 	}
 }
 
+// countedFaults counts the calls that reach a KVStore's fault hook,
+// one per backend call, and passes each on to inner.
+type countedFaults struct {
+	inner resilience.Injector
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func countFaults(inner resilience.Injector) *countedFaults {
+	return &countedFaults{inner: inner, calls: map[string]int{}}
+}
+
+func (c *countedFaults) Fault(op string) resilience.Fault {
+	c.mu.Lock()
+	c.calls[op]++
+	c.mu.Unlock()
+	if c.inner == nil {
+		return resilience.Fault{}
+	}
+	return c.inner.Fault(op)
+}
+
+// Calls reports how many calls op ("kv.get", …) made.
+func (c *countedFaults) Calls(op string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls[op]
+}
+
 // TestRobustRetriesTransientFaults: two scripted transport errors are
 // absorbed by the retry schedule; the caller sees success.
 func TestRobustRetriesTransientFaults(t *testing.T) {
 	ctx := ctxT(t)
 	kv := NewKVStore()
 	transient := errors.New("connection reset")
-	kv.Faults = func() resilience.Injector {
-		s := resilience.NewScript()
-		s.Queue("kv.get", 2, resilience.Fault{Err: transient})
-		return s
-	}()
+	script := resilience.NewScript()
+	script.Queue("kv.get", 2, resilience.Fault{Err: transient})
+	calls := countFaults(script)
+	kv.Faults = calls
 	r := fastRobust(kv, 3, 5)
 
 	if err := r.Put(ctx, "k", []byte("v")); err != nil {
@@ -195,11 +224,11 @@ func TestRobustRetriesTransientFaults(t *testing.T) {
 	if err != nil || string(got) != "v" {
 		t.Fatalf("get after transient faults = %q, %v", got, err)
 	}
-	if calls := kv.Calls("get"); calls != 3 {
-		t.Fatalf("backend saw %d gets, want 3 (2 failures + 1 success)", calls)
+	if n := calls.Calls("kv.get"); n != 3 {
+		t.Fatalf("backend saw %d gets, want 3 (2 failures + 1 success)", n)
 	}
-	if r.Breaker().State() != resilience.BreakerClosed {
-		t.Fatalf("breaker %v after recovered retries, want closed", r.Breaker().State())
+	if err := r.breaker.Allow(); err != nil {
+		t.Fatalf("breaker after recovered retries: %v, want closed", err)
 	}
 }
 
@@ -208,16 +237,18 @@ func TestRobustRetriesTransientFaults(t *testing.T) {
 func TestRobustNotFoundIsNotRetried(t *testing.T) {
 	ctx := ctxT(t)
 	kv := NewKVStore()
+	calls := countFaults(nil)
+	kv.Faults = calls
 	r := fastRobust(kv, 3, 2)
 	for i := 0; i < 5; i++ {
 		if _, err := r.Get(ctx, "missing"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("get missing: %v, want ErrNotFound", err)
 		}
 	}
-	if calls := kv.Calls("get"); calls != 5 {
-		t.Fatalf("backend saw %d gets, want 5 (no retries on not-found)", calls)
+	if n := calls.Calls("kv.get"); n != 5 {
+		t.Fatalf("backend saw %d gets, want 5 (no retries on not-found)", n)
 	}
-	if r.Breaker().State() != resilience.BreakerClosed {
+	if err := r.breaker.Allow(); err != nil {
 		t.Fatal("not-found answers must not open the breaker")
 	}
 }
@@ -231,7 +262,8 @@ func TestRobustBreakerOpensAndRecovers(t *testing.T) {
 	down := errors.New("backend down")
 	script := resilience.NewScript()
 	script.Queue("kv.get", -1, resilience.Fault{Err: down})
-	kv.Faults = script
+	calls := countFaults(script)
+	kv.Faults = calls
 	r := fastRobust(kv, 2, 2) // 2 attempts per op, breaker opens after 2 failed ops
 
 	if err := kv.Put(ctx, "k", []byte("v")); err != nil { // bypass envelope to seed data
@@ -242,14 +274,14 @@ func TestRobustBreakerOpensAndRecovers(t *testing.T) {
 			t.Fatalf("get %d on dead backend: %v, want ErrStoreUnavailable", i, err)
 		}
 	}
-	if r.Breaker().State() != resilience.BreakerOpen {
-		t.Fatalf("breaker %v after 2 failed ops, want open", r.Breaker().State())
+	if err := r.breaker.Allow(); !errors.Is(err, resilience.ErrBreakerOpen) {
+		t.Fatalf("breaker after 2 failed ops: %v, want open", err)
 	}
-	before := kv.Calls("get")
+	before := calls.Calls("kv.get")
 	if _, err := r.Get(ctx, "k"); !errors.Is(err, ErrStoreUnavailable) {
 		t.Fatalf("get on open circuit: %v", err)
 	}
-	if after := kv.Calls("get"); after != before {
+	if after := calls.Calls("kv.get"); after != before {
 		t.Fatalf("open circuit still reached the backend (%d → %d calls)", before, after)
 	}
 
@@ -260,8 +292,8 @@ func TestRobustBreakerOpensAndRecovers(t *testing.T) {
 	if err != nil || string(got) != "v" {
 		t.Fatalf("get after recovery = %q, %v", got, err)
 	}
-	if r.Breaker().State() != resilience.BreakerClosed {
-		t.Fatalf("breaker %v after successful probe, want closed", r.Breaker().State())
+	if err := r.breaker.Allow(); err != nil {
+		t.Fatalf("breaker after successful probe: %v, want closed", err)
 	}
 }
 
@@ -305,7 +337,7 @@ func TestRobustCallerCancellation(t *testing.T) {
 	if _, err := r.Get(ctx, "k"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("canceled get: %v, want caller's deadline error", err)
 	}
-	if r.Breaker().State() != resilience.BreakerClosed {
+	if err := r.breaker.Allow(); err != nil {
 		t.Fatal("caller cancellation must not open the breaker")
 	}
 }

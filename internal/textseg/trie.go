@@ -5,7 +5,6 @@ package textseg
 // same word twice keeps the latest ID.
 type Trie struct {
 	root trieNode
-	size int
 }
 
 type trieNode struct {
@@ -16,9 +15,6 @@ type trieNode struct {
 
 // NewTrie returns an empty trie.
 func NewTrie() *Trie { return &Trie{} }
-
-// Len returns the number of distinct words stored.
-func (t *Trie) Len() int { return t.size }
 
 // Insert stores word with the given ID. Word is inserted as-is: callers
 // should Normalize first so lookups and insertions share a canonical
@@ -39,26 +35,8 @@ func (t *Trie) Insert(word string, id int) {
 		}
 		n = child
 	}
-	if !n.terminal {
-		t.size++
-	}
 	n.terminal = true
 	n.id = id
-}
-
-// Lookup returns the ID of word if stored.
-func (t *Trie) Lookup(word string) (id int, ok bool) {
-	n := &t.root
-	for _, r := range word {
-		if n.children == nil {
-			return 0, false
-		}
-		n = n.children[r]
-		if n == nil {
-			return 0, false
-		}
-	}
-	return n.id, n.terminal
 }
 
 // LongestMatch finds the longest dictionary word starting at rs[start].
