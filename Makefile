@@ -65,8 +65,11 @@ pgo-check:
 # to keep race-clean. Every chain, supervised or not, runs through the
 # supervisor with its background checkpoint writer and stall watchdog,
 # so the plain checkpoint and resume tests join the gate too.
+# Every request of a model generation folds in on one shared annotator
+# and one fold-in kernel, so the serve tests that drive concurrent
+# fold-ins (Slot, Hammer, Batch, Swap) join as well.
 smoke:
-	$(GO) test -race -run 'Health|Supervis|Rollback|Checkpoint|Resume|Breaker|Robust|Store|Registry|Follower|Cache|Drain|Parallel|Chaos|Stream|Ingest|WAL|Refit' ./internal/core ./internal/resilience ./internal/pipeline ./internal/storage ./internal/serve
+	$(GO) test -race -run 'Health|Supervis|Rollback|Checkpoint|Resume|Breaker|Robust|Store|Registry|Follower|Cache|Drain|Parallel|Chaos|Stream|Ingest|WAL|Refit|Slot|Hammer|Batch|Swap' ./internal/core ./internal/resilience ./internal/pipeline ./internal/storage ./internal/serve
 	$(GO) test -race ./internal/ingest
 	$(GO) test -race ./client
 
@@ -126,8 +129,9 @@ profile:
 	@echo "profiles written: cpu.pprof mem.pprof (inspect with: go tool pprof cpu.pprof)"
 
 # Each fuzz corpus for ~10s: cheap continuous assurance that no input
-# can panic the durable-format loaders, the tokenizer, or the unit
-# parser. Run before cutting a release; CI-friendly wall time.
+# can panic the durable-format loaders, the tokenizer, the unit
+# parser, or the HTTP request-body handlers. Run before cutting a
+# release; CI-friendly wall time.
 # Minimisation is off: by default each new input gets up to 60s of it,
 # which stalls a 10s slot ("0/sec" intervals) so that every fuzzer
 # finds fewer new inputs (FuzzBundlePayload: 3 against 167 in one
@@ -142,3 +146,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime 10s -fuzzminimizetime 0 ./internal/textseg
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0 ./internal/units
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s -fuzzminimizetime 0 ./internal/ingest
+	$(GO) test -run '^$$' -fuzz FuzzServeBodies -fuzztime 10s -fuzzminimizetime 0 ./internal/serve

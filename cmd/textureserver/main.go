@@ -90,13 +90,13 @@ func main() {
 		refitPoll    = flag.Duration("refit-interval", 15*time.Second, "re-fit trigger poll cadence")
 		refitBase    = flag.String("refit-base", "", "frozen JSONL base corpus re-fits grow the WAL on top of (empty: WAL records alone)")
 		adminToken   = flag.String("admin-token", "", "X-Admin-Token required by POST /admin/reload (empty: no token check)")
-		pool         = flag.Int("pool", runtime.GOMAXPROCS(0), "concurrent fold-in annotators")
+		pool         = flag.Int("pool", runtime.GOMAXPROCS(0), "admission gate capacity: the bound on concurrent fold-ins (every fold-in uses the same seed, so a card depends only on the model and the recipe)")
 		maxBatch     = flag.Int("max-batch", 64, "max recipes per POST /annotate/batch (413 over)")
 		cacheOn      = flag.Bool("cache", true, "serve repeated annotation requests from the response cache (single-flight deduped)")
 		cacheSize    = flag.Int("cache-size", serve.DefaultCacheSize, "max cached annotation responses (with -cache)")
 		reqTimeout   = flag.Duration("request-timeout", 5*time.Second, "per-request deadline (504 past it; 0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "shutdown budget for in-flight requests")
-		admitWait    = flag.Duration("admit-wait", 250*time.Millisecond, "max wait for an annotator before shedding with 429")
+		admitWait    = flag.Duration("admit-wait", 250*time.Millisecond, "max wait for an admission gate slot before shedding with 429")
 		logFormat    = flag.String("log-format", "text", "access/progress log format: text or json")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)

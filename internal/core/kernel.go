@@ -97,9 +97,15 @@ type yCacheEntry struct {
 // BuildKernel validates the model shape and returns its fold-in
 // kernel, constructing it on first call and reusing it afterwards
 // (SwapOutput installs a fresh Result, which starts with no kernel).
-// Shape defects are reported as errors matching ErrDegenerateModel
-// instead of the panic the unchecked index used to raise.
+// The shape check runs on every call, not only the first: it reads
+// O(K) lengths, and a Result whose φ or components were cut after the
+// kernel was cached must still be refused. Shape defects are reported
+// as errors matching ErrDegenerateModel instead of the panic the
+// unchecked index used to raise.
 func (r *Result) BuildKernel() (*FoldInKernel, error) {
+	if err := r.checkShape(); err != nil {
+		return nil, err
+	}
 	if kn := r.kernel.Load(); kn != nil {
 		return kn, nil
 	}
@@ -112,26 +118,38 @@ func (r *Result) BuildKernel() (*FoldInKernel, error) {
 	return r.kernel.Load(), nil
 }
 
-func newFoldInKernel(r *Result) (*FoldInKernel, error) {
+// checkShape reports, as ErrDegenerateModel, any length that disagrees
+// with K and V: the component counts, the φ rows, and the per-topic
+// component dimensions against topic 0's.
+func (r *Result) checkShape() error {
 	if r.K < 1 {
-		return nil, fmt.Errorf("%w: K=%d", ErrDegenerateModel, r.K)
+		return fmt.Errorf("%w: K=%d", ErrDegenerateModel, r.K)
 	}
 	if r.V < 0 {
-		return nil, fmt.Errorf("%w: V=%d", ErrDegenerateModel, r.V)
+		return fmt.Errorf("%w: V=%d", ErrDegenerateModel, r.V)
 	}
 	if len(r.Gel) != r.K || len(r.Emu) != r.K {
-		return nil, fmt.Errorf("%w: %d gel / %d emulsion components for K=%d",
+		return fmt.Errorf("%w: %d gel / %d emulsion components for K=%d",
 			ErrDegenerateModel, len(r.Gel), len(r.Emu), r.K)
 	}
 	if len(r.Phi) != r.K {
-		return nil, fmt.Errorf("%w: %d φ rows for K=%d", ErrDegenerateModel, len(r.Phi), r.K)
+		return fmt.Errorf("%w: %d φ rows for K=%d", ErrDegenerateModel, len(r.Phi), r.K)
 	}
+	gelDim, emuDim := len(r.Gel[0].Mean), len(r.Emu[0].Mean)
 	for k, row := range r.Phi {
 		if len(row) != r.V {
-			return nil, fmt.Errorf("%w: φ row %d has %d terms, vocabulary %d",
+			return fmt.Errorf("%w: φ row %d has %d terms, vocabulary %d",
 				ErrDegenerateModel, k, len(row), r.V)
 		}
+		if len(r.Gel[k].Mean) != gelDim || len(r.Emu[k].Mean) != emuDim {
+			return fmt.Errorf("%w: topic %d component dims %d/%d, topic 0 has %d/%d",
+				ErrDegenerateModel, k, len(r.Gel[k].Mean), len(r.Emu[k].Mean), gelDim, emuDim)
+		}
 	}
+	return nil
+}
+
+func newFoldInKernel(r *Result) (*FoldInKernel, error) {
 	kn := &FoldInKernel{
 		res:       r,
 		k:         r.K,
@@ -145,10 +163,6 @@ func newFoldInKernel(r *Result) (*FoldInKernel, error) {
 	gelG := make([]*stats.Gaussian, r.K)
 	emuG := make([]*stats.Gaussian, r.K)
 	for k := 0; k < r.K; k++ {
-		if len(r.Gel[k].Mean) != kn.gelDim || len(r.Emu[k].Mean) != kn.emuDim {
-			return nil, fmt.Errorf("%w: topic %d component dims %d/%d, topic 0 has %d/%d",
-				ErrDegenerateModel, k, len(r.Gel[k].Mean), len(r.Emu[k].Mean), kn.gelDim, kn.emuDim)
-		}
 		g, err := r.GelGaussian(k)
 		if err != nil {
 			return nil, fmt.Errorf("core: topic %d gel: %w", k, err)

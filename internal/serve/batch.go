@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/annotate"
-	"repro/internal/core"
 	"repro/internal/recipe"
-	"repro/internal/resilience"
 )
 
 // bodyBufPool recycles the request/response byte buffers of the
@@ -46,28 +44,11 @@ type BatchResponse struct {
 	Failed  int         `json:"failed"`
 }
 
-// handleAnnotateBatch folds a batch of recipes in parallel across the
-// annotator pool. With the cache enabled, a pre-pass resolves and
-// hashes every recipe first: cached items are answered immediately
-// without a pool slot, identical recipes within the batch fold in
-// once, and only the remaining misses claim annotators. Admission for
-// the misses takes one gate slot the way a single request would (shed
-// with 429 when saturated), then claims opportunistic extra slots —
-// up to the pool size or the miss count, whichever is smaller — so
-// spare capacity shortens the batch without starving single-recipe
-// traffic. Items fail individually: a recipe the model cannot cover
-// reports its own error and status at its index while the rest of the
-// batch completes. When the request context ends mid-batch the
-// remaining items are shed with the context's status instead of
-// burning Gibbs sweeps on them.
-func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
-	if !s.Ready() {
-		s.unavailable(w, "model not ready")
-		return
-	}
-	ctx := r.Context()
-
-	// The whole batch shares a body cap of MaxBody per allowed recipe.
+// readBatch reads the {"recipes": [...]} envelope of /annotate/batch
+// and /ingest/batch under a body cap of MaxBody per allowed recipe. On
+// failure it has answered (413 over a cap, 400 otherwise) and returns
+// nil.
+func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) []*recipe.Recipe {
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer bodyBufPool.Put(buf)
@@ -76,91 +57,106 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("batch body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			return
+			return nil
 		}
 		http.Error(w, "reading batch body: "+err.Error(), http.StatusBadRequest)
-		return
+		return nil
 	}
 	var req batchRequest
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		http.Error(w, "bad batch JSON: "+err.Error(), http.StatusBadRequest)
-		return
+		return nil
 	}
 	if len(req.Recipes) == 0 {
 		http.Error(w, "batch has no recipes", http.StatusBadRequest)
-		return
+		return nil
 	}
 	if len(req.Recipes) > s.opts.MaxBatch {
 		http.Error(w, fmt.Sprintf("batch of %d recipes over the %d limit", len(req.Recipes), s.opts.MaxBatch),
 			http.StatusRequestEntityTooLarge)
+		return nil
+	}
+	return req.Recipes
+}
+
+// handleAnnotateBatch folds a batch of recipes in parallel on the
+// generation's annotator. With the cache enabled, a pre-pass resolves
+// and hashes every recipe first: cached items are answered immediately
+// without a gate slot, identical recipes within the batch fold in
+// once, and only the remaining misses are folded in. Admission for
+// the misses takes one gate slot the way a single request would (shed
+// with 429 when saturated), then claims opportunistic extra slots —
+// up to the gate capacity or the miss count, whichever is smaller — so
+// spare capacity shortens the batch without starving single-recipe
+// traffic. Items fail individually: a recipe the model cannot cover
+// reports its own error and status at its index while the rest of the
+// batch completes. When the request context ends mid-batch the
+// remaining items are shed with the context's status instead of
+// burning Gibbs sweeps on them.
+func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
+	st := s.serving()
+	if st == nil {
+		s.unavailable(w, "model not ready")
 		return
 	}
+	ctx := r.Context()
+	recipes := s.readBatch(w, r)
+	if recipes == nil {
+		return
+	}
+	results := make([]BatchItem, len(recipes))
 
-	results := make([]BatchItem, len(req.Recipes))
-
-	// Cache pre-pass: answer hits without pool work, collapse
-	// duplicates within the batch onto one fold-in, and leave only
-	// genuine misses for the workers.
+	// Pre-pass: answer null items, and with the cache answer hits,
+	// collapse duplicates within the batch onto one fold-in, and leave
+	// only genuine misses for the workers.
 	var keys []cacheKey
-	pending := make([]int, 0, len(req.Recipes))
+	pending := make([]int, 0, len(recipes))
 	aliases := map[int]int{} // duplicate index → pending index that folds in for it
+	var firstMiss map[cacheKey]int
 	if s.cache != nil {
-		keys = make([]cacheKey, len(req.Recipes))
-		gen := s.generation.Load()
-		firstMiss := map[cacheKey]int{}
-		for i, rec := range req.Recipes {
-			if rec == nil {
-				results[i] = BatchItem{Index: i, Error: "null recipe", Status: http.StatusBadRequest}
-				continue
-			}
-			if err := rec.Resolve(); err != nil {
-				results[i] = s.batchFailure(i, fmt.Errorf("annotate: %w: %w", annotate.ErrRecipe, err))
-				continue
-			}
-			keys[i] = cacheKey{gen: gen, hash: hashRecipe(rec)}
-			if card, ok := s.cache.get(keys[i]); ok {
-				s.mServed.Inc()
-				results[i] = BatchItem{Index: i, Card: card}
-				continue
-			}
-			if prev, dup := firstMiss[keys[i]]; dup {
-				aliases[i] = prev
-				continue
-			}
-			firstMiss[keys[i]] = i
-			pending = append(pending, i)
+		keys = make([]cacheKey, len(recipes))
+		firstMiss = map[cacheKey]int{}
+	}
+	for i, rec := range recipes {
+		if rec == nil {
+			results[i] = BatchItem{Index: i, Error: "null recipe", Status: http.StatusBadRequest}
+			continue
 		}
-	} else {
-		for i := range req.Recipes {
+		if s.cache == nil {
 			pending = append(pending, i)
+			continue
 		}
+		if err := rec.Resolve(); err != nil {
+			results[i] = s.batchFailure(i, fmt.Errorf("annotate: %w: %w", annotate.ErrRecipe, err))
+			continue
+		}
+		keys[i] = cacheKey{gen: st.gen, hash: hashRecipe(rec)}
+		if card, ok := s.cache.get(keys[i]); ok {
+			s.mServed.Inc()
+			results[i] = BatchItem{Index: i, Card: card}
+			continue
+		}
+		if prev, dup := firstMiss[keys[i]]; dup {
+			aliases[i] = prev
+			continue
+		}
+		firstMiss[keys[i]] = i
+		pending = append(pending, i)
 	}
 
 	if len(pending) > 0 {
 		// One slot is admitted under the normal shed policy; extras are
 		// taken only if free right now.
-		if err := s.gate.Acquire(ctx); err != nil {
-			switch {
-			case errors.Is(err, resilience.ErrSaturated):
-				w.Header().Set("Retry-After", strconv.Itoa(int(s.gate.RetryAfter().Seconds())))
-				http.Error(w, "annotator pool saturated; retry shortly", http.StatusTooManyRequests)
-			case errors.Is(err, context.DeadlineExceeded):
-				s.mTimeouts.Inc()
-				http.Error(w, "timed out waiting for an annotator", http.StatusGatewayTimeout)
-			}
+		if err := s.admit(ctx); err != nil {
+			s.writeAnnotateError(w, r, err)
 			return
 		}
 		workers := 1
 		for workers < s.opts.Pool && workers < len(pending) && s.gate.TryAcquire() {
 			workers++
 		}
-
-		s.mu.RLock()
-		pool := s.pool
-		s.mu.RUnlock()
-
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for wi := 0; wi < workers; wi++ {
@@ -168,15 +164,13 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 			go func() {
 				defer wg.Done()
 				defer s.gate.Release()
-				ann := <-pool
-				defer func() { pool <- ann }()
 				for {
 					n := int(next.Add(1)) - 1
 					if n >= len(pending) {
 						return
 					}
 					i := pending[n]
-					results[i] = s.annotateBatchItem(ctx, ann, i, req.Recipes[i])
+					results[i] = s.annotateBatchItem(ctx, st, i, recipes[i])
 					if s.cache != nil && results[i].Card != nil {
 						s.cache.put(keys[i], results[i].Card)
 					}
@@ -222,10 +216,10 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// annotateBatchItem runs one batch item, mapping its failure to the
-// status a single request would have seen. A panic is contained to
-// the item (the worker goroutine is outside the Recover middleware).
-func (s *Server) annotateBatchItem(ctx context.Context, ann *annotate.Annotator, i int, rec *recipe.Recipe) (item BatchItem) {
+// annotateBatchItem runs one batch item through foldIn. A panic is
+// contained to the item (the worker goroutine is outside the Recover
+// middleware).
+func (s *Server) annotateBatchItem(ctx context.Context, st *state, i int, rec *recipe.Recipe) (item BatchItem) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.mPanics.Inc()
@@ -233,40 +227,24 @@ func (s *Server) annotateBatchItem(ctx context.Context, ann *annotate.Annotator,
 			item = BatchItem{Index: i, Error: "internal annotation failure", Status: http.StatusInternalServerError}
 		}
 	}()
-	if rec == nil {
-		return BatchItem{Index: i, Error: "null recipe", Status: http.StatusBadRequest}
-	}
 	// A dead context sheds the rest of the batch before any sweeps run.
 	if err := ctx.Err(); err != nil {
 		return s.batchFailure(i, err)
 	}
-	if err := resilience.Inject(ctx, s.opts.Injector, "annotate"); err != nil {
-		return s.batchFailure(i, err)
-	}
-	card, err := ann.Annotate(ctx, rec)
+	card, err := s.foldIn(ctx, st, rec)
 	if err != nil {
 		return s.batchFailure(i, err)
 	}
 	s.mServed.Inc()
-	wire := card.Wire()
-	return BatchItem{Index: i, Card: &wire}
+	return BatchItem{Index: i, Card: card}
 }
 
-// batchFailure is writeAnnotateError for one batch index: same status
-// mapping, but recorded in the item instead of the response status.
+// batchFailure records annotateStatus in the item at index i instead
+// of in the response status.
 func (s *Server) batchFailure(i int, err error) BatchItem {
-	switch {
-	case errors.Is(err, annotate.ErrRecipe):
-		return BatchItem{Index: i, Error: err.Error(), Status: http.StatusUnprocessableEntity}
-	case errors.Is(err, context.DeadlineExceeded):
-		s.mTimeouts.Inc()
-		return BatchItem{Index: i, Error: "annotation timed out", Status: http.StatusGatewayTimeout}
-	case errors.Is(err, context.Canceled), errors.Is(err, core.ErrCanceled):
-		// 499: client closed request (the nginx convention) — there is
-		// no one left to read the card.
-		return BatchItem{Index: i, Error: "annotation canceled", Status: 499}
-	default:
+	code, msg := s.annotateStatus(err)
+	if code == http.StatusInternalServerError {
 		s.logf("serve: /annotate/batch item %d: internal: %v", i, err)
-		return BatchItem{Index: i, Error: "internal annotation failure", Status: http.StatusInternalServerError}
 	}
+	return BatchItem{Index: i, Error: msg, Status: code}
 }

@@ -41,7 +41,7 @@ func decodeBatch(t *testing.T, rec *httptest.ResponseRecorder) BatchResponse {
 }
 
 // TestBatchEndpointOrderingAndMetrics: results come back index-aligned
-// with the request regardless of which pool member served them, and
+// with the request regardless of which worker served them, and
 // every served item counts into the serving metrics.
 func TestBatchEndpointOrderingAndMetrics(t *testing.T) {
 	opts := quietOptions()
@@ -194,7 +194,7 @@ func TestBatchCancellationShedsRemainder(t *testing.T) {
 	}
 }
 
-// TestBatchParallelAcrossPool: a batch on a multi-annotator pool must
+// TestBatchParallelAcrossPool: a batch on a four-slot gate must
 // actually fan out — with per-item delays injected, the wall clock of
 // the batch stays well under the serial sum.
 func TestBatchParallelAcrossPool(t *testing.T) {

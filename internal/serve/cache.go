@@ -190,7 +190,7 @@ func (c *annotCache) addRaw(key, rk cacheKey) {
 
 // get is the flight-free lookup the batch pre-pass uses: a hit
 // returns the typed card, a miss returns nothing and the caller folds
-// in itself (batch items do not join single-flights; their pool slots
+// in itself (batch items do not join single-flights; their gate slots
 // are already claimed).
 func (c *annotCache) get(key cacheKey) (*annotate.WireCard, bool) {
 	c.mu.Lock()

@@ -43,9 +43,9 @@ func altOutput(t *testing.T) *pipeline.Output {
 	return altFix
 }
 
-// cacheOptions is quietOptions with the cache on and a single-member
-// pool: pool member i folds with Seed+i, so byte-identity assertions
-// need every fold-in on the same member.
+// cacheOptions is quietOptions with the cache on and a one-slot gate.
+// Every fold-in uses Seed whatever the slot, so byte identity does not
+// need the single slot; it keeps these tests' fold-ins one at a time.
 func cacheOptions() Options {
 	o := quietOptions()
 	o.Pool = 1

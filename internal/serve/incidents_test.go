@@ -69,30 +69,51 @@ func TestStatuszOmitsIncidentsWhenClean(t *testing.T) {
 
 // TestSwapOutputRejectsDegenerateModel: a reload source handing over a
 // shape-broken model (truncated φ) must be refused at swap time — the
-// kernel build fails before the pointer flip and the previous model
-// keeps serving.
+// shape check fails before the pointer store and the previous model
+// keeps serving /annotate and /topics. The loaded bundle matters:
+// LoadBundle has already built and cached its kernel, so the check
+// must not stop at a cached kernel.
 func TestSwapOutputRejectsDegenerateModel(t *testing.T) {
-	s := newTestServer(t, quietOptions())
-	h := s.Handler()
-
-	src := fixtureOutput(t)
-	m := src.Model
-	bad := &pipeline.Output{Dict: src.Dict, ExcludedTerms: src.ExcludedTerms, Model: &core.Result{
-		K: m.K, V: m.V, Alpha: m.Alpha, Gamma: m.Gamma, UseEmulsion: m.UseEmulsion, EmulsionWeight: m.EmulsionWeight,
-		Phi: m.Phi[:1], // fewer φ rows than K
-		Gel: m.Gel, Emu: m.Emu, LogLik: m.LogLik, TopicDocs: m.DocsPerTopic(),
-	}}
-	err := s.SwapOutput(bad)
-	if err == nil {
-		t.Fatal("swap accepted a model whose kernel cannot build")
-	}
-	if !errors.Is(err, core.ErrDegenerateModel) {
-		t.Fatalf("swap error %v does not wrap core.ErrDegenerateModel", err)
-	}
-	if got := s.Stats().Generation; got != 1 {
-		t.Fatalf("generation %d after refused swap, want 1", got)
-	}
-	if rec := postAnnotate(h, jellyJSON); rec.Code != http.StatusOK {
-		t.Fatalf("annotate after refused swap: %d; the old model must keep serving", rec.Code)
+	for _, tc := range []struct {
+		name string
+		bad  func() *pipeline.Output
+	}{
+		{"fresh-result", func() *pipeline.Output {
+			src := fixtureOutput(t)
+			m := src.Model
+			return &pipeline.Output{Dict: src.Dict, ExcludedTerms: src.ExcludedTerms, Model: &core.Result{
+				K: m.K, V: m.V, Alpha: m.Alpha, Gamma: m.Gamma, UseEmulsion: m.UseEmulsion, EmulsionWeight: m.EmulsionWeight,
+				Phi: m.Phi[:1], // fewer φ rows than K
+				Gel: m.Gel, Emu: m.Emu, LogLik: m.LogLik, TopicDocs: m.DocsPerTopic(),
+			}}
+		}},
+		{"loaded-bundle", func() *pipeline.Output {
+			out := cloneOutput(t)
+			out.Model.Phi = out.Model.Phi[:1]
+			return out
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, quietOptions())
+			h := s.Handler()
+			err := s.SwapOutput(tc.bad())
+			if err == nil {
+				t.Fatal("swap accepted a model whose φ has one row")
+			}
+			if !errors.Is(err, core.ErrDegenerateModel) {
+				t.Fatalf("swap error %v does not wrap core.ErrDegenerateModel", err)
+			}
+			if got := s.Stats().Generation; got != 1 {
+				t.Fatalf("generation %d after refused swap, want 1", got)
+			}
+			if rec := postAnnotate(h, jellyJSON); rec.Code != http.StatusOK {
+				t.Fatalf("annotate after refused swap: %d; the old model must keep serving", rec.Code)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/topics", nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("/topics after refused swap: %d", rec.Code)
+			}
+		})
 	}
 }

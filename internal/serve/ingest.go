@@ -61,15 +61,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rec recipe.Recipe
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		writeRecipeDecodeError(w, err)
+	if !s.decodeRecipe(w, r, &rec) {
 		return
 	}
 	ack, status, err := s.ingestOne(&rec)
 	if err != nil {
-		s.writeIngestError(w, r, err)
+		code, msg := ingestStatus(err)
+		if code == http.StatusInternalServerError {
+			s.logf("serve: %s %s: wal append: %v", r.Method, r.URL.Path, err)
+		}
+		http.Error(w, msg, code)
 		return
 	}
 	go s.warmFoldIn(&rec)
@@ -90,32 +91,13 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w, "draining")
 		return
 	}
-	var req batchRequest
-	limit := s.opts.MaxBody * int64(s.opts.MaxBatch)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("batch body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad batch JSON: "+err.Error(), http.StatusBadRequest)
+	recipes := s.readBatch(w, r)
+	if recipes == nil {
 		return
 	}
-	if len(req.Recipes) == 0 {
-		http.Error(w, "batch has no recipes", http.StatusBadRequest)
-		return
-	}
-	if len(req.Recipes) > s.opts.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d recipes over the %d limit", len(req.Recipes), s.opts.MaxBatch),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-
-	resp := IngestBatchResponse{Results: make([]IngestBatchItem, len(req.Recipes))}
+	resp := IngestBatchResponse{Results: make([]IngestBatchItem, len(recipes))}
 	var warm []*recipe.Recipe
-	for i, rec := range req.Recipes {
+	for i, rec := range recipes {
 		if rec == nil {
 			resp.Results[i] = IngestBatchItem{Index: i, Error: "null recipe", Status: http.StatusBadRequest}
 			resp.Failed++
@@ -123,7 +105,11 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ack, status, err := s.ingestOne(rec)
 		if err != nil {
-			resp.Results[i] = s.ingestFailure(i, err)
+			code, msg := ingestStatus(err)
+			if code == http.StatusInternalServerError {
+				s.logf("serve: /ingest/batch item %d: wal append: %v", i, err)
+			}
+			resp.Results[i] = IngestBatchItem{Index: i, Error: msg, Status: code}
 			resp.Failed++
 			continue
 		}
@@ -137,7 +123,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(warm) > 0 {
 		// One background warmer for the whole batch: each recipe takes a
-		// spare pool slot if there is one and is skipped otherwise —
+		// spare gate slot if there is one and is skipped otherwise —
 		// freshness is opportunistic, durability is already settled.
 		go func() {
 			for _, rec := range warm {
@@ -180,45 +166,34 @@ func (s *Server) ingestOne(rec *recipe.Recipe) (IngestAck, int, error) {
 	}, status, nil
 }
 
-// writeIngestError maps an ingest failure: recipe faults are the
-// client's (422), a recipe too large for a WAL record is too (413 —
-// batch items can individually exceed what a lone request's MaxBody
-// cap would have refused), anything else means the log could not be
-// written — a 500 the operator must see, because acks stopped being
-// possible.
-func (s *Server) writeIngestError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, annotate.ErrRecipe) {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
+// ingestStatus is the one status mapping of /ingest and each
+// /ingest/batch item: recipe faults are the client's (422), a recipe
+// too large for a WAL record is too (413 — batch items can
+// individually exceed what a lone request's MaxBody cap would have
+// refused), anything else means the log could not be written — a 500
+// the caller logs, because acks stopped being possible.
+func ingestStatus(err error) (int, string) {
+	switch {
+	case errors.Is(err, annotate.ErrRecipe):
+		return http.StatusUnprocessableEntity, err.Error()
+	case errors.Is(err, ingest.ErrTooLarge):
+		return http.StatusRequestEntityTooLarge, err.Error()
+	default:
+		return http.StatusInternalServerError, "ingest log write failed"
 	}
-	if errors.Is(err, ingest.ErrTooLarge) {
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		return
-	}
-	s.logf("serve: %s %s: wal append: %v", r.Method, r.URL.Path, err)
-	http.Error(w, "ingest log write failed", http.StatusInternalServerError)
-}
-
-// ingestFailure is writeIngestError for one batch index.
-func (s *Server) ingestFailure(i int, err error) IngestBatchItem {
-	if errors.Is(err, annotate.ErrRecipe) {
-		return IngestBatchItem{Index: i, Error: err.Error(), Status: http.StatusUnprocessableEntity}
-	}
-	if errors.Is(err, ingest.ErrTooLarge) {
-		return IngestBatchItem{Index: i, Error: err.Error(), Status: http.StatusRequestEntityTooLarge}
-	}
-	s.logf("serve: /ingest/batch item %d: wal append: %v", i, err)
-	return IngestBatchItem{Index: i, Error: "ingest log write failed", Status: http.StatusInternalServerError}
 }
 
 // warmFoldIn makes a freshly ingested recipe immediately annotatable:
-// fold it in on a spare annotator and seed the request cache, so the
-// poster's next /annotate is a cache hit instead of a cold fold-in.
-// Strictly opportunistic — no model, no cache, or no free pool slot
+// fold it in and seed the request cache, so the poster's next
+// /annotate is a cache hit instead of a cold fold-in. The serving
+// state is loaded once, so the card is cached under the generation of
+// the model that computed it, even when a swap lands mid-fold-in.
+// Strictly opportunistic — no model, no cache, or no free gate slot
 // means it silently skips; durability was already acknowledged and the
 // recipe reaches the model at the next re-fit regardless.
 func (s *Server) warmFoldIn(rec *recipe.Recipe) {
-	if s.cache == nil || !s.Ready() {
+	st := s.serving()
+	if s.cache == nil || st == nil {
 		return
 	}
 	if !s.gate.TryAcquire() {
@@ -237,16 +212,9 @@ func (s *Server) warmFoldIn(rec *recipe.Recipe) {
 		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 		defer cancel()
 	}
-	s.mu.RLock()
-	pool := s.pool
-	s.mu.RUnlock()
-	gen := s.generation.Load()
-	ann := <-pool
-	defer func() { pool <- ann }()
-	card, err := ann.Annotate(ctx, rec)
+	card, err := s.foldIn(ctx, st, rec)
 	if err != nil {
 		return // best effort; the WAL already has the recipe
 	}
-	wire := card.Wire()
-	s.cache.put(cacheKey{gen: gen, hash: hashRecipe(rec)}, &wire)
+	s.cache.put(cacheKey{gen: st.gen, hash: hashRecipe(rec)}, card)
 }

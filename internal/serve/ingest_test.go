@@ -194,8 +194,8 @@ func TestIngestAckDurable(t *testing.T) {
 }
 
 // TestIngestWarmFoldIn: the synchronous half of the fold-in path — a
-// warmed recipe's next /annotate is a cache hit, served without
-// touching the annotator pool.
+// warmed recipe's next /annotate is a cache hit, served without a
+// fold-in or a gate slot.
 func TestIngestWarmFoldIn(t *testing.T) {
 	opts := quietOptions()
 	opts.Cache = true

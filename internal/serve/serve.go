@@ -2,14 +2,20 @@
 // recipe-sharing site would deploy: POST a recipe, get its texture
 // card; browse the fitted topics.
 //
+// Each model generation is served from one immutable state: the
+// pipeline output, one annotator whose every fold-in chain starts
+// from Options.Seed, and the generation id. A request loads that state
+// once and uses it for everything it does, so a texture card is a
+// function of (generation, recipe) alone.
+//
 // The serving runtime is built for degradation, not just the happy
-// path: a pool of independent fold-in annotators bounds concurrency,
-// an admission gate sheds overload with 429 + Retry-After instead of
-// queueing it, every request carries a deadline that propagates down
-// into the Gibbs sweeps, panics become 500s without killing the
-// process, and liveness (/healthz) is split from readiness (/readyz)
-// so a load balancer can route around a server that is still fitting
-// its model or draining for shutdown.
+// path: an admission gate bounds concurrent fold-ins and sheds
+// overload with 429 + Retry-After instead of queueing it, every
+// request carries a deadline that propagates down into the Gibbs
+// sweeps, panics become 500s without killing the process, and
+// liveness (/healthz) is split from readiness (/readyz) so a load
+// balancer can route around a server that is still fitting its model
+// or draining for shutdown.
 package serve
 
 import (
@@ -42,10 +48,10 @@ import (
 // Options tunes the serving runtime. The zero value is not useful;
 // start from DefaultOptions.
 type Options struct {
-	// Pool is the number of independent fold-in annotators — the hard
-	// bound on concurrent annotations.
+	// Pool is the admission gate's capacity — the hard bound on
+	// concurrent fold-ins, and the most workers one batch takes.
 	Pool int
-	// AdmitWait is how long an /annotate request may wait for a pool
+	// AdmitWait is how long an /annotate request may wait for a gate
 	// slot before it is shed with 429 Too Many Requests.
 	AdmitWait time.Duration
 	// RequestTimeout bounds one request end to end; past it the
@@ -63,7 +69,7 @@ type Options struct {
 	FoldInIters int
 	// Cache enables the request-level annotation cache: responses are
 	// stored in a bounded LRU keyed by (model generation, recipe
-	// content hash) and repeats are served without a pool slot or a
+	// content hash) and repeats are served without a gate slot or a
 	// Gibbs sweep, with concurrent identical misses collapsed onto one
 	// fold-in. Off by default so a server stays a pure fold-in engine
 	// unless asked; cmd/textureserver turns it on.
@@ -71,8 +77,8 @@ type Options struct {
 	// CacheSize caps the cached responses (with Cache);
 	// DefaultCacheSize when zero or negative.
 	CacheSize int
-	// Seed drives the pool's fold-in chains; pool member i uses
-	// Seed+i so concurrent chains are decorrelated but reproducible.
+	// Seed drives every fold-in chain, whichever gate slot runs it, so
+	// a card depends only on the model generation and the recipe.
 	Seed uint64
 	// Injector, when non-nil, injects deterministic faults into the
 	// annotate path (op "annotate") — the test hook that makes the
@@ -125,27 +131,31 @@ func DefaultOptions() Options {
 	}
 }
 
+// state is one model generation's serving state. It is immutable once
+// published: a swap publishes a new one, and a request that loaded the
+// old one finishes on it.
+type state struct {
+	out *pipeline.Output
+	ann *annotate.Annotator
+	gen int64 // 1 for the first install, bumped by every swap
+}
+
 // Server handles texture annotation requests on a fitted model.
 type Server struct {
 	opts Options
 	logf func(format string, args ...any)
 	gate *resilience.Gate
 
-	mu   sync.RWMutex // guards out and pool installation
-	out  *pipeline.Output
-	pool chan *annotate.Annotator
+	// installMu serializes writers: SetOutput, SwapOutput and Reload.
+	// Readers never take it; they load cur.
+	installMu sync.Mutex
+	cur       atomic.Pointer[state] // nil until the first install
 
 	// cache is the request-level annotation cache; nil when
 	// Options.Cache is off.
 	cache *annotCache
 
-	// reloadMu serializes Reload calls so two concurrent /admin/reload
-	// requests cannot interleave building and installing pools.
-	reloadMu sync.Mutex
-
-	ready      atomic.Bool
-	draining   atomic.Bool
-	generation atomic.Int64 // bumped on every model install/swap
+	draining atomic.Bool
 
 	// follower is the attached registry follower, nil when this server
 	// is not part of a registry-driven fleet. Set once by NewFollower.
@@ -212,11 +222,11 @@ func NewPending(opts Options) *Server {
 			"Batch annotation requests completed (items count into serve_annotate_served_total).", nil),
 	}
 	reg.GaugeFunc("serve_model_generation", "Monotonic model generation; 0 until the first install.", nil,
-		func() float64 { return float64(s.generation.Load()) })
+		func() float64 { return float64(s.generation()) })
 	reg.CounterFunc("serve_shed_total", "Requests shed by the admission gate.", nil, s.gate.Shed)
-	reg.GaugeFunc("serve_in_flight", "Requests currently holding a pool slot.", nil,
+	reg.GaugeFunc("serve_in_flight", "Fold-ins currently holding an admission gate slot.", nil,
 		func() float64 { return float64(s.gate.InUse()) })
-	reg.GaugeFunc("serve_pool_size", "Configured annotator pool size.", nil,
+	reg.GaugeFunc("serve_pool_size", "Admission gate capacity (-pool): the bound on concurrent fold-ins.", nil,
 		func() float64 { return float64(s.opts.Pool) })
 	reg.GaugeFunc("serve_ready", "1 when the model is fitted and not draining.", nil,
 		func() float64 {
@@ -235,18 +245,18 @@ func NewPending(opts Options) *Server {
 // fitting pipeline and sampler telemetry into the same /metrics page.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// buildPool constructs a full annotator pool over out, wiring fold-in
-// telemetry before the model is published to handlers so every
-// annotation is recorded. Concurrent fold-ins invoke the hook
-// concurrently; the metrics are atomic. An unfitted output has no
-// model; annotate.New rejects it.
-func (s *Server) buildPool(out *pipeline.Output) (chan *annotate.Annotator, error) {
+// install builds out's serving state and publishes it as the next
+// generation. The caller holds installMu. The fold-in kernel is built
+// (and the model's shape checked) first, so a degenerate model fails
+// the install rather than the first request, and no request pays the
+// per-model precomputation. Fold-in telemetry is wired before the
+// state is published so every annotation is recorded; concurrent
+// fold-ins invoke the hook concurrently and the metrics are atomic.
+// An unfitted output has no model; annotate.New rejects it.
+func (s *Server) install(out *pipeline.Output) error {
 	if out.Model != nil {
-		// Build the fold-in kernel before serving so a degenerate model
-		// fails the install (not the first request) and no request pays
-		// the per-model precomputation.
 		if _, err := out.Model.BuildKernel(); err != nil {
-			return nil, fmt.Errorf("serve: fold-in kernel: %w", err)
+			return fmt.Errorf("serve: fold-in kernel: %w", err)
 		}
 		out.Model.FoldInHook = func(st core.FoldInStats) {
 			s.mFoldinSeconds.Observe(st.Total.Seconds())
@@ -256,73 +266,68 @@ func (s *Server) buildPool(out *pipeline.Output) (chan *annotate.Annotator, erro
 			}
 		}
 	}
-	pool := make(chan *annotate.Annotator, s.opts.Pool)
-	for i := 0; i < s.opts.Pool; i++ {
-		ann, err := annotate.New(out)
-		if err != nil {
-			return nil, err
-		}
-		ann.Seed = s.opts.Seed + uint64(i)
-		if s.opts.FoldInIters > 0 {
-			ann.FoldInIters = s.opts.FoldInIters
-		}
-		pool <- ann
-	}
-	return pool, nil
-}
-
-// install publishes the model and its pool, bumps the generation, and
-// flips the server ready.
-func (s *Server) install(out *pipeline.Output, pool chan *annotate.Annotator) {
-	s.out = out
-	s.pool = pool
-	gen := s.generation.Add(1)
-	s.mSwaps.Inc()
-	s.mSwapTime.Set(float64(time.Now().UnixNano()) / 1e9)
-	s.ready.Store(true)
-	if gen > 1 {
-		s.logf("serve: model swapped in, generation %d (K=%d, %d docs)", gen, out.Model.K, out.Recipes())
-	}
-}
-
-// SetOutput installs the fitted model, builds the annotator pool, and
-// flips the server ready. It may be called once; use SwapOutput to
-// replace a model that is already serving.
-func (s *Server) SetOutput(out *pipeline.Output) error {
-	pool, err := s.buildPool(out)
+	ann, err := annotate.New(out)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.out != nil {
-		return fmt.Errorf("serve: model already installed")
+	ann.Seed = s.opts.Seed
+	if s.opts.FoldInIters > 0 {
+		ann.FoldInIters = s.opts.FoldInIters
 	}
-	s.install(out, pool)
+	gen := s.generation() + 1
+	s.cur.Store(&state{out: out, ann: ann, gen: gen})
+	s.mSwaps.Inc()
+	s.mSwapTime.Set(float64(time.Now().UnixNano()) / 1e9)
+	if gen > 1 {
+		s.logf("serve: model swapped in, generation %d (K=%d, %d docs)", gen, out.Model.K, out.Recipes())
+	}
 	return nil
 }
 
+// generation is the generation serving now; 0 before the first
+// install.
+func (s *Server) generation() int64 {
+	if st := s.cur.Load(); st != nil {
+		return st.gen
+	}
+	return 0
+}
+
+// serving is the state a new request runs on: nil while no model is
+// installed or the server drains.
+func (s *Server) serving() *state {
+	if s.draining.Load() {
+		return nil
+	}
+	return s.cur.Load()
+}
+
+// SetOutput installs the fitted model and flips the server ready. It
+// may be called once; use SwapOutput to replace a model that is
+// already serving.
+func (s *Server) SetOutput(out *pipeline.Output) error {
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	if s.cur.Load() != nil {
+		return fmt.Errorf("serve: model already installed")
+	}
+	return s.install(out)
+}
+
 // SwapOutput atomically replaces the serving model under live traffic.
-// A fresh annotator pool is built against the new model before the
-// switch, so the swap itself is a pointer flip under the lock: requests
-// admitted after it fold in on the new model, while in-flight requests
-// finish on the pool they checked out from and return their annotators
-// there — the old pool drains naturally and is collected once the last
-// borrower lets go. No request is dropped or errored by a swap.
+// The new generation's state is built in full before one pointer
+// store publishes it: requests that load the state after the store
+// fold in on the new model, while in-flight requests finish on the
+// state they loaded. No request is dropped or errored by a swap.
 //
 // Pass a freshly constructed Output (a new fit, or a LoadModel or
 // LoadBundle result):
 // installing telemetry mutates out.Model, so re-swapping the object
 // that is currently serving would race with live fold-ins.
 func (s *Server) SwapOutput(out *pipeline.Output) error {
-	pool, err := s.buildPool(out)
-	if err != nil {
-		return fmt.Errorf("serve: building pool for swap: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.install(out, pool)
-	return nil
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	return s.install(out)
 }
 
 // Reload runs Options.Reload and swaps the result in, serializing
@@ -332,16 +337,16 @@ func (s *Server) Reload(ctx context.Context) (int64, error) {
 	if s.opts.Reload == nil {
 		return 0, fmt.Errorf("serve: no reload source configured")
 	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
 	out, err := s.opts.Reload(ctx)
 	if err != nil {
 		return 0, fmt.Errorf("serve: reload source: %w", err)
 	}
-	if err := s.SwapOutput(out); err != nil {
+	if err := s.install(out); err != nil {
 		return 0, err
 	}
-	return s.generation.Load(), nil
+	return s.generation(), nil
 }
 
 // NewWithOptions builds a ready server from a fitted pipeline output.
@@ -360,7 +365,7 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Ready reports whether the model is installed and the server is not
 // draining.
-func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
+func (s *Server) Ready() bool { return s.serving() != nil }
 
 // Stats is a point-in-time snapshot of the serving runtime, served on
 // /statusz.
@@ -409,21 +414,19 @@ type CacheStats struct {
 // Stats snapshots the runtime counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Ready:      s.ready.Load(),
-		Draining:   s.draining.Load(),
-		Pool:       s.opts.Pool,
-		InFlight:   s.gate.InUse(),
-		Served:     s.mServed.Value(),
-		Shed:       s.gate.Shed(),
-		Panics:     s.mPanics.Value(),
-		Timeouts:   s.mTimeouts.Value(),
-		Generation: s.generation.Load(),
+		Draining: s.draining.Load(),
+		Pool:     s.opts.Pool,
+		InFlight: s.gate.InUse(),
+		Served:   s.mServed.Value(),
+		Shed:     s.gate.Shed(),
+		Panics:   s.mPanics.Value(),
+		Timeouts: s.mTimeouts.Value(),
 	}
-	s.mu.RLock()
-	if s.out != nil {
-		st.LastFitIncidents = s.out.FitIncidents
+	if cur := s.cur.Load(); cur != nil {
+		st.Ready = true
+		st.Generation = cur.gen
+		st.LastFitIncidents = cur.out.FitIncidents
 	}
-	s.mu.RUnlock()
 	if f := s.follower.Load(); f != nil {
 		rs := f.Status()
 		st.Registry = &rs
@@ -457,7 +460,7 @@ func (s *Server) Stats() Stats {
 //	GET  /topics     the fitted topics with gel doses and top terms
 //	GET  /healthz    liveness: the process is up
 //	GET  /readyz     readiness: the model is fitted and not draining
-//	GET  /statusz    runtime counters (pool, shed, panics, …)
+//	GET  /statusz    runtime counters (gate, shed, panics, …)
 //	GET  /metrics    Prometheus text exposition of the registry
 //
 // When Options.Pprof is set, net/http/pprof is mounted under
@@ -515,7 +518,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case !s.ready.Load():
+	case s.cur.Load() == nil:
 		http.Error(w, "model not fitted yet", http.StatusServiceUnavailable)
 	default:
 		w.WriteHeader(http.StatusOK)
@@ -549,8 +552,22 @@ func (s *Server) unavailable(w http.ResponseWriter, reason string) {
 	http.Error(w, reason, http.StatusServiceUnavailable)
 }
 
+// decodeRecipe reads one recipe body under MaxBody for /annotate and
+// /ingest. On failure it has answered (413 over the cap, 400 for
+// anything else malformed) and returns false.
+func (s *Server) decodeRecipe(w http.ResponseWriter, r *http.Request, rec *recipe.Recipe) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(rec); err != nil {
+		writeRecipeDecodeError(w, err)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
-	if !s.Ready() {
+	st := s.serving()
+	if st == nil {
 		s.unavailable(w, "model not ready")
 		return
 	}
@@ -558,13 +575,10 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 
 	if s.cache == nil {
 		var rec recipe.Recipe
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			writeRecipeDecodeError(w, err)
+		if !s.decodeRecipe(w, r, &rec) {
 			return
 		}
-		card, err := s.annotateOnce(ctx, &rec)
+		card, err := s.annotateOnce(ctx, st, &rec)
 		if err != nil {
 			s.writeAnnotateError(w, r, err)
 			return
@@ -585,8 +599,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		writeRecipeDecodeError(w, err)
 		return
 	}
-	gen := s.generation.Load()
-	rk := cacheKey{gen: gen, hash: sha256.Sum256(buf.Bytes())}
+	rk := cacheKey{gen: st.gen, hash: sha256.Sum256(buf.Bytes())}
 	if body, ok := s.cache.rawLookup(rk); ok {
 		s.mServed.Inc()
 		s.writeBody(w, "hit", body)
@@ -608,11 +621,11 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		s.writeAnnotateError(w, r, fmt.Errorf("annotate: %w: %w", annotate.ErrRecipe, err))
 		return
 	}
-	key := cacheKey{gen: gen, hash: hashRecipe(&rec)}
+	key := cacheKey{gen: st.gen, hash: hashRecipe(&rec)}
 	body, f, leader := s.cache.lookup(key)
 	switch {
 	case body != nil:
-		// Hit: served straight from memory — no pool slot, no sweeps.
+		// Hit: served straight from memory — no gate slot, no sweeps.
 		s.cache.addRaw(key, rk)
 		s.mServed.Inc()
 		s.writeBody(w, "hit", body)
@@ -648,7 +661,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 					panic(v)
 				}
 			}()
-			return s.annotateOnce(ctx, &rec)
+			return s.annotateOnce(ctx, st, &rec)
 		}
 		card, err := runLeader()
 		cached, err := s.cache.finish(key, f, card, err)
@@ -674,37 +687,33 @@ func writeRecipeDecodeError(w http.ResponseWriter, err error) {
 }
 
 // errAdmitTimeout marks a deadline that expired while waiting for a
-// pool slot, keeping its 504 message distinct from a mid-fold-in
+// gate slot, keeping its 504 message distinct from a mid-fold-in
 // expiry.
 var errAdmitTimeout = errors.New("timed out waiting for an annotator")
 
-// annotateOnce is the fold-in path of one annotation: admission
-// through the gate (bounded concurrency with a bounded queue-wait —
-// past the wait budget the request is shed so an overloaded annotator
-// answers "try later" fast instead of queueing into timeout), an
-// annotator checkout, and the Gibbs chain. Failures come back as the
-// typed errors writeAnnotateError maps to statuses.
-func (s *Server) annotateOnce(ctx context.Context, rec *recipe.Recipe) (*annotate.WireCard, error) {
-	if err := s.gate.Acquire(ctx); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("%w: %w", errAdmitTimeout, err)
-		}
-		return nil, err
+// admit is the one admission step: a gate slot under the shed policy
+// (bounded concurrency with a bounded queue wait — past the wait
+// budget the request is shed, so an overloaded server answers "try
+// later" fast instead of queueing into timeout). A deadline that ends
+// in the queue comes back as errAdmitTimeout. On success the caller
+// owes one gate.Release.
+func (s *Server) admit(ctx context.Context) error {
+	err := s.gate.Acquire(ctx)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("%w: %w", errAdmitTimeout, err)
 	}
-	defer s.gate.Release()
+	return err
+}
 
-	// The gate capacity equals the pool size, so a checkout never
-	// blocks once admitted.
-	s.mu.RLock()
-	pool := s.pool
-	s.mu.RUnlock()
-	ann := <-pool
-	defer func() { pool <- ann }()
-
+// foldIn is the one fold-in step of every annotation — /annotate,
+// each /annotate/batch item, and the ingest warm fold-in: fault
+// injection (op "annotate"), the Gibbs chain on st's annotator, and
+// the wire card. The caller holds a gate slot.
+func (s *Server) foldIn(ctx context.Context, st *state, rec *recipe.Recipe) (*annotate.WireCard, error) {
 	if err := resilience.Inject(ctx, s.opts.Injector, "annotate"); err != nil {
 		return nil, err
 	}
-	card, err := ann.Annotate(ctx, rec)
+	card, err := st.ann.Annotate(ctx, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -712,30 +721,59 @@ func (s *Server) annotateOnce(ctx context.Context, rec *recipe.Recipe) (*annotat
 	return &wire, nil
 }
 
-// writeAnnotateError maps an annotation failure to its status: a
-// saturated gate is 429 with retry advice, recipe faults are the
-// client's (422), expired deadlines are 504, a vanished client gets
-// nothing, and everything else is a 500 — logged, because a 5xx the
+// annotateOnce is one admitted fold-in. Failures come back as the
+// typed errors annotateStatus maps to statuses.
+func (s *Server) annotateOnce(ctx context.Context, st *state, rec *recipe.Recipe) (*annotate.WireCard, error) {
+	if err := s.admit(ctx); err != nil {
+		return nil, err
+	}
+	defer s.gate.Release()
+	return s.foldIn(ctx, st, rec)
+}
+
+// statusClientClosed is nginx's 499 "client closed request": there is
+// no one left to read the card.
+const statusClientClosed = 499
+
+// annotateStatus is the one status mapping of /annotate and each
+// /annotate/batch item: a saturated gate is 429, a deadline in the
+// gate queue or in the fold-in is 504 (and counts as a timeout),
+// recipe faults are the client's (422), a vanished client is 499, and
+// everything else is a 500, which the caller logs — a 5xx the
 // operator cannot see is a 5xx that never gets fixed.
-func (s *Server) writeAnnotateError(w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) annotateStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, resilience.ErrSaturated):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.gate.RetryAfter().Seconds())))
-		http.Error(w, "annotator pool saturated; retry shortly", http.StatusTooManyRequests)
+		return http.StatusTooManyRequests, "annotator pool saturated; retry shortly"
 	case errors.Is(err, errAdmitTimeout):
 		s.mTimeouts.Inc()
-		http.Error(w, errAdmitTimeout.Error(), http.StatusGatewayTimeout)
+		return http.StatusGatewayTimeout, errAdmitTimeout.Error()
 	case errors.Is(err, annotate.ErrRecipe):
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return http.StatusUnprocessableEntity, err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
 		s.mTimeouts.Inc()
-		http.Error(w, "annotation timed out", http.StatusGatewayTimeout)
+		return http.StatusGatewayTimeout, "annotation timed out"
 	case errors.Is(err, context.Canceled), errors.Is(err, core.ErrCanceled):
-		s.logf("serve: %s %s: abandoned: %v", r.Method, r.URL.Path, err)
+		return statusClientClosed, "annotation canceled"
 	default:
-		s.logf("serve: %s %s: internal: %v", r.Method, r.URL.Path, err)
-		http.Error(w, "internal annotation failure", http.StatusInternalServerError)
+		return http.StatusInternalServerError, "internal annotation failure"
 	}
+}
+
+// writeAnnotateError answers a request with annotateStatus: a 429
+// carries retry advice, and a vanished client gets nothing.
+func (s *Server) writeAnnotateError(w http.ResponseWriter, r *http.Request, err error) {
+	code, msg := s.annotateStatus(err)
+	switch code {
+	case http.StatusTooManyRequests:
+		w.Header().Set("Retry-After", strconv.Itoa(int(s.gate.RetryAfter().Seconds())))
+	case statusClientClosed:
+		s.logf("serve: %s %s: abandoned: %v", r.Method, r.URL.Path, err)
+		return
+	case http.StatusInternalServerError:
+		s.logf("serve: %s %s: internal: %v", r.Method, r.URL.Path, err)
+	}
+	http.Error(w, msg, code)
 }
 
 // writeWaiterError maps the leader's failure for a single-flight
@@ -776,13 +814,12 @@ type TopicInfo struct {
 func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
 	// Same readiness check as the annotate routes: a draining server
 	// must stop accepting new /topics work too, not just fold-ins.
-	if !s.Ready() {
+	st := s.serving()
+	if st == nil {
 		s.unavailable(w, "model not ready")
 		return
 	}
-	s.mu.RLock()
-	out := s.out
-	s.mu.RUnlock()
+	out := st.out
 	counts := out.Model.DocsPerTopic()
 	topics := make([]TopicInfo, 0, out.Model.K)
 	for k := 0; k < out.Model.K; k++ {

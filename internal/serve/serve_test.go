@@ -30,7 +30,7 @@ var (
 // fixtureOutput fits one small model shared by every test; servers
 // themselves are cheap and built per test with whatever Options the
 // scenario needs.
-func fixtureOutput(t *testing.T) *pipeline.Output {
+func fixtureOutput(t testing.TB) *pipeline.Output {
 	t.Helper()
 	outOnce.Do(func() {
 		opts := pipeline.DefaultOptions()
