@@ -1031,7 +1031,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			if err := s.Run(nil); err != nil {
+			if err := s.Run(); err != nil {
 				b.Fatal(err)
 			}
 		})

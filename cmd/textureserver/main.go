@@ -184,8 +184,12 @@ func main() {
 	if *storeSpec != "" {
 		// A breaker cooldown of half the poll interval guarantees a
 		// recovered backend gets its half-open probe by the next poll, so
-		// replicas converge within one interval of recovery.
-		st, err := storage.Open(*storeSpec, storage.RobustOptions{BreakerCooldown: *registryPoll / 2})
+		// replicas converge within one interval of recovery. The store's
+		// per-operation series go to the shared /metrics registry.
+		st, err := storage.Open(*storeSpec, storage.RobustOptions{
+			BreakerCooldown: *registryPoll / 2,
+			Metrics:         metrics,
+		})
 		if err != nil {
 			log.Fatalf("textureserver: %v", err)
 		}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/lexicon"
@@ -58,6 +59,16 @@ type Card struct {
 	MeasurementDist    float64
 }
 
+// FoldInStats is the telemetry of one fold-in chain: its length, the
+// recipe's texture-word count, its wall time, and whether its context
+// ended it. A canceled chain reports the sweeps it completed.
+type FoldInStats struct {
+	Sweeps   int
+	Words    int
+	Total    time.Duration
+	Canceled bool
+}
+
 // Annotator folds recipes into a fitted model.
 type Annotator struct {
 	model *core.Result
@@ -69,6 +80,10 @@ type Annotator struct {
 	TopTerms int
 	// Seed drives the fold-in chain.
 	Seed uint64
+	// OnFoldIn, when non-nil, receives one FoldInStats per fold-in
+	// chain that completed or was canceled. Concurrent Annotate calls
+	// invoke it concurrently, so it must be safe for concurrent use.
+	OnFoldIn func(FoldInStats)
 
 	excluded map[string][]string
 	refs     []rheology.Measurement
@@ -120,7 +135,19 @@ func (a *Annotator) Annotate(ctx context.Context, r *recipe.Recipe) (*Card, erro
 		wordIDs = append(wordIDs, id)
 	}
 
+	start := time.Now()
 	theta, err := a.model.FoldInCtx(ctx, wordIDs, r.GelFeatures(), r.EmulsionFeatures(), a.FoldInIters, a.Seed)
+	if a.OnFoldIn != nil {
+		st := FoldInStats{Sweeps: a.FoldInIters, Words: len(wordIDs), Total: time.Since(start)}
+		var ce *core.CanceledError
+		switch {
+		case err == nil:
+			a.OnFoldIn(st)
+		case errors.As(err, &ce):
+			st.Sweeps, st.Canceled = ce.Sweeps, true
+			a.OnFoldIn(st)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("annotate: %w", err)
 	}

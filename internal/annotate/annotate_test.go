@@ -290,3 +290,43 @@ func TestModelLoadAnnotatesLikeFullLoad(t *testing.T) {
 		t.Fatalf("response hash: full load %s, model load %s", full, model)
 	}
 }
+
+// TestAnnotateFoldInStats checks fold-in telemetry on the completed and
+// the canceled path; a recipe refused before the fold-in reports
+// nothing.
+func TestAnnotateFoldInStats(t *testing.T) {
+	a := newAnnotator(t)
+	a.FoldInIters = 40
+	var got []FoldInStats
+	a.OnFoldIn = func(st FoldInStats) { got = append(got, st) }
+
+	r := jelly(t, "5g", "ぷるぷるでとてもおいしい")
+	card, err := a.Annotate(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := len(card.MinedTerms)
+	if len(got) != 1 {
+		t.Fatalf("sink called %d times, want 1", len(got))
+	}
+	if got[0].Sweeps != 40 || got[0].Words != words || words == 0 || got[0].Canceled || got[0].Total <= 0 {
+		t.Fatalf("completed stats %+v (words %d)", got[0], words)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := a.Annotate(ctx, r); err == nil {
+		t.Fatal("canceled annotation should fail")
+	}
+	if len(got) != 2 || !got[1].Canceled || got[1].Sweeps != 0 {
+		t.Fatalf("canceled stats %+v", got[1:])
+	}
+
+	nogel := &recipe.Recipe{ID: "salad", Ingredients: []recipe.Ingredient{{Name: "水", Amount: "100ml"}}}
+	if _, err := a.Annotate(context.Background(), nogel); err == nil {
+		t.Fatal("gel-free recipe annotated")
+	}
+	if len(got) != 2 {
+		t.Fatalf("a refused recipe reached the sink: %+v", got[2:])
+	}
+}

@@ -152,7 +152,7 @@ func TestLogLikelihoodImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	first := stats.Mean(s.LogLik[:10])
@@ -364,7 +364,7 @@ func TestLearnAlphaConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// The synthetic docs are single-topic: the learned α must shrink

@@ -157,7 +157,7 @@ func TestGibbsTraceConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// After burn-in the trace should pass the Geweke check.

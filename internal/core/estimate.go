@@ -43,13 +43,6 @@ type Result struct {
 	// place of counting θ. Nil for a fitted or fully loaded model.
 	TopicDocs []int
 
-	// FoldInHook, when non-nil, receives one FoldInStats per FoldInCtx
-	// chain (completed or canceled). Install it before sharing the
-	// Result across goroutines; concurrent fold-ins invoke it
-	// concurrently, so the sink must be safe for concurrent use. It is
-	// telemetry only and is not serialized.
-	FoldInHook func(FoldInStats)
-
 	// kernel caches the fold-in working set (per-topic Gaussians,
 	// vocab-major φ). Built lazily by BuildKernel; never serialized.
 	kernel atomic.Pointer[FoldInKernel]
@@ -132,7 +125,7 @@ func Fit(data *Data, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		return nil, err
 	}
 	return s.Estimate(), nil

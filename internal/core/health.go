@@ -89,11 +89,6 @@ type HealthPolicy struct {
 	// (AbortUnhealthy from a supervisor goroutine).
 	SweepTimeout time.Duration
 
-	// OnEvent, when non-nil, observes the event that aborted the chain
-	// (exactly once per Run error). Keep it cheap; it runs on the
-	// sampling goroutine.
-	OnEvent func(HealthEvent)
-
 	// Perturb, when non-nil, rewrites the log-likelihood after each
 	// sweep before it is recorded or classified. It exists for
 	// deterministic fault injection in tests — poisoning sweep k with a

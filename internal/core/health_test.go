@@ -40,13 +40,11 @@ func requireHealthError(t *testing.T, err error, kind HealthKind) *HealthError {
 
 // TestHealthNaNLogLikAborts injects a NaN log-likelihood at a fixed
 // sweep and checks the always-on classifier aborts there with a typed
-// event, firing OnEvent exactly once.
+// event.
 func TestHealthNaNLogLikAborts(t *testing.T) {
 	data, _ := synthData(3, 60)
 	cfg := healthTestConfig(40)
-	var events []HealthEvent
 	cfg.Health = HealthPolicy{
-		OnEvent: func(ev HealthEvent) { events = append(events, ev) },
 		Perturb: func(sweep int, ll float64) float64 {
 			if sweep == 17 {
 				return math.NaN()
@@ -58,9 +56,6 @@ func TestHealthNaNLogLikAborts(t *testing.T) {
 	he := requireHealthError(t, err, HealthNaNLogLik)
 	if he.Event.Sweep != 17 {
 		t.Fatalf("event sweep = %d, want 17", he.Event.Sweep)
-	}
-	if len(events) != 1 || events[0].Kind != HealthNaNLogLik {
-		t.Fatalf("OnEvent calls = %+v, want exactly one nan_loglik", events)
 	}
 }
 
@@ -124,7 +119,7 @@ func TestHealthAbortUnhealthyWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AbortUnhealthy(HealthSweepStall, "watchdog: no heartbeat")
-	err = s.Run(nil)
+	err = s.Run()
 	requireHealthError(t, err, HealthSweepStall)
 	if s.CompletedSweeps() != 0 {
 		t.Fatalf("completed sweeps = %d after pre-run abort, want 0", s.CompletedSweeps())
@@ -143,7 +138,7 @@ func TestHealthAbortPlainError(t *testing.T) {
 	}
 	cause := errors.New("context canceled")
 	s.Abort(cause)
-	err = s.Run(nil)
+	err = s.Run()
 	if !errors.Is(err, cause) {
 		t.Fatalf("error %v does not wrap the abort cause", err)
 	}
@@ -176,7 +171,7 @@ func TestHealthDegenerateCovarianceRecovered(t *testing.T) {
 	if err := s.gelAcc[0].SetState(n, sum, outer); err != nil {
 		t.Fatal(err)
 	}
-	err = s.Run(nil)
+	err = s.Run()
 	he := requireHealthError(t, err, HealthDegenerateCovariance)
 	if !errors.Is(err, stats.ErrNumericalHealth) {
 		t.Fatalf("error %v does not wrap stats.ErrNumericalHealth", err)
@@ -243,7 +238,7 @@ func TestHealthBestCarriesAcrossResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	he := requireHealthError(t, s.Run(nil), HealthLogLikCollapse)
+	he := requireHealthError(t, s.Run(), HealthLogLikCollapse)
 	if he.Event.Sweep != 12 {
 		t.Fatalf("event sweep = %d, want 12", he.Event.Sweep)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -37,8 +36,6 @@ type KernelOptions struct{}
 // use; per-request scratch lives in an internal sync.Pool, so
 // steady-state fold-ins allocate nothing beyond the caller's θ slice.
 type FoldInKernel struct {
-	res *Result // hook + identity; model parameters are copied below
-
 	k, v           int
 	gelDim, emuDim int
 	alpha          float64
@@ -151,7 +148,6 @@ func (r *Result) checkShape() error {
 
 func newFoldInKernel(r *Result) (*FoldInKernel, error) {
 	kn := &FoldInKernel{
-		res:       r,
 		k:         r.K,
 		v:         r.V,
 		gelDim:    len(r.Gel[0].Mean),
@@ -275,19 +271,15 @@ func (kn *FoldInKernel) FoldInTo(ctx context.Context, theta []float64, words []i
 	}
 	y := rng.CategoricalLogScratch(conc, sc.catW)
 
-	start := time.Now()
 	for k := range theta {
 		theta[k] = 0
 	}
-	kept, err := kn.sweep(ctx, theta, words, z, ndk, conc, logTab, y, iters, sc, start)
+	kept, err := kn.sweep(ctx, theta, words, z, ndk, conc, logTab, y, iters, sc)
 	if err != nil {
 		return err
 	}
 	for k := range theta {
 		theta[k] /= float64(kept)
-	}
-	if hook := kn.res.FoldInHook; hook != nil {
-		hook(FoldInStats{Sweeps: iters, Words: len(words), Total: time.Since(start)})
 	}
 	return nil
 }
@@ -299,7 +291,7 @@ func (kn *FoldInKernel) FoldInTo(ctx context.Context, theta []float64, words []i
 // logarithms up from the per-request table, and uses the fused draw
 // variants (all individually bit-exact transformations). It returns
 // the number of sweeps averaged into θ.
-func (kn *FoldInKernel) sweep(ctx context.Context, theta []float64, words []int, z, ndk []int, conc, logTab []float64, y, iters int, sc *foldScratch, start time.Time) (int, error) {
+func (kn *FoldInKernel) sweep(ctx context.Context, theta []float64, words []int, z, ndk []int, conc, logTab []float64, y, iters int, sc *foldScratch) (int, error) {
 	kk := kn.k
 	alpha := kn.alpha
 	weights := sc.weights[:kk]
@@ -315,9 +307,6 @@ func (kn *FoldInKernel) sweep(ctx context.Context, theta []float64, words []int,
 	}
 	for it := 0; it < iters; it++ {
 		if err := ctx.Err(); err != nil {
-			if hook := kn.res.FoldInHook; hook != nil {
-				hook(FoldInStats{Sweeps: it, Words: len(words), Total: time.Since(start), Canceled: true})
-			}
 			return 0, &CanceledError{Sweeps: it, Cause: err}
 		}
 		for n, w := range words {

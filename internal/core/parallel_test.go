@@ -46,7 +46,7 @@ func TestParallelCountInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// After merging deltas: nkw row sums equal nk, totals equal token
@@ -164,7 +164,7 @@ func TestParallelDeterministicState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(nil); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -263,7 +263,7 @@ func runWorkers(t *testing.T, data *Data, workers, iters int) *Sampler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -300,7 +300,7 @@ func TestParallelResumeAtOtherWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s.Z, want.Z) || !reflect.DeepEqual(s.Y, want.Y) || !reflect.DeepEqual(s.LogLik, want.LogLik) {

@@ -333,11 +333,10 @@ func NewSampler(data *Data, cfg Config) (*Sampler, error) {
 // Run performs Gibbs sweeps until cfg.Iterations have completed,
 // starting from the sampler's current sweep index (0 for a fresh
 // sampler, the checkpointed index for one restored via ResumeSampler).
-// The onSweep callback (may be nil) receives the sweep index and
-// running log-likelihood; richer telemetry (phase timings, occupancy)
-// flows through cfg.Hooks. When cfg.CheckpointEvery and
-// cfg.CheckpointFunc are both set, a Snapshot is emitted after every
-// CheckpointEvery-th completed sweep.
+// Per-sweep telemetry (phase timings, log-likelihood, occupancy) flows
+// through cfg.Hooks. When cfg.CheckpointEvery and cfg.CheckpointFunc
+// are both set, a Snapshot is emitted after every CheckpointEvery-th
+// completed sweep.
 //
 // Every completed sweep is classified by cfg.Health (see HealthPolicy);
 // a violation — or a degenerate Normal-Wishart posterior surfacing as
@@ -345,7 +344,7 @@ func NewSampler(data *Data, cfg Config) (*Sampler, error) {
 // chain with a typed *HealthError wrapping ErrUnhealthy. The check runs
 // before the checkpoint emission, so an unhealthy state is never
 // persisted over a healthy one.
-func (s *Sampler) Run(onSweep func(iter int, logLik float64)) (err error) {
+func (s *Sampler) Run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The numerical kernels panic with error values wrapping
@@ -361,20 +360,12 @@ func (s *Sampler) Run(onSweep func(iter int, logLik float64)) (err error) {
 				Cause: e,
 			}
 		}
-		if err == nil {
-			return
-		}
-		var he *HealthError
-		if errors.As(err, &he) && s.cfg.Health.OnEvent != nil {
-			s.cfg.Health.OnEvent(he.Event)
-		}
 	}()
-	return s.run(onSweep)
+	return s.run()
 }
 
-// run is Run's loop body; Run wraps it with panic recovery and the
-// once-per-error OnEvent notification.
-func (s *Sampler) run(onSweep func(iter int, logLik float64)) error {
+// run is Run's loop body; Run wraps it with panic recovery.
+func (s *Sampler) run() error {
 	hook := s.cfg.Hooks.OnSweep
 	hp := s.cfg.Health
 	// The running best log-likelihood seeds from the existing trace, so
@@ -435,9 +426,6 @@ func (s *Sampler) run(onSweep func(iter int, logLik float64)) error {
 				OccupiedTopics: occupied,
 				MaxTopicShare:  maxShare,
 			})
-		}
-		if onSweep != nil {
-			onSweep(it, ll)
 		}
 		// Classify before checkpointing: a diverged sweep must never
 		// overwrite the last healthy checkpoint.

@@ -53,10 +53,6 @@ type Snapshot struct {
 	Kernel     string `json:"kernel"`
 	Collapsed  bool   `json:"collapsed"`
 	Iterations int    `json:"iterations"`
-	// Workers is never written. Snapshots from before Kernel carry
-	// their worker count here; one above 1 means the retired AD-LDA
-	// kernel, whose chains no kernel continues.
-	Workers int `json:"workers,omitempty"`
 
 	Sweep  int       `json:"sweep"` // completed sweeps
 	Alpha  float64   `json:"alpha"` // current α (LearnAlpha mutates it)
@@ -175,21 +171,17 @@ func (c Config) kernel() string {
 }
 
 // CheckKernel refuses, with ErrSnapshot, a snapshot that cfg's kernel
-// cannot continue: one another kernel wrote, or one written by the
-// retired AD-LDA kernel, which recorded a worker count above one and
-// no kernel.
+// cannot continue: one another kernel wrote, or one that names no
+// kernel (written before snapshots recorded it, possibly by the
+// retired AD-LDA kernel), whose chain no kernel here can continue.
 func (sn *Snapshot) CheckKernel(cfg Config) error {
-	kernel := sn.Kernel
-	if kernel == "" {
-		if sn.Workers > 1 {
-			return fmt.Errorf("core: snapshot written by the retired AD-LDA kernel (%d workers): %w", sn.Workers, ErrSnapshot)
-		}
-		kernel = kernelSequential
+	switch sn.Kernel {
+	case "":
+		return fmt.Errorf("core: snapshot names no kernel (an older build wrote it); delete the checkpoint or run without -resume: %w", ErrSnapshot)
+	case cfg.kernel():
+		return nil
 	}
-	if kernel != cfg.kernel() {
-		return fmt.Errorf("core: snapshot of the %s kernel, config runs the %s kernel: %w", kernel, cfg.kernel(), ErrSnapshot)
-	}
-	return nil
+	return fmt.Errorf("core: snapshot of the %s kernel, config runs the %s kernel: %w", sn.Kernel, cfg.kernel(), ErrSnapshot)
 }
 
 // ResumeSampler rebuilds a Sampler from a Snapshot so that Run

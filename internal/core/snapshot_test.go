@@ -43,7 +43,7 @@ func runKilled(t *testing.T, data *Data, cfg Config, killAt int) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); !errors.Is(err, errKilled) {
+	if err := s.Run(); !errors.Is(err, errKilled) {
 		t.Fatalf("run should have died at sweep %d, got err %v", killAt, err)
 	}
 	if snap == nil || snap.Sweep != killAt {
@@ -60,7 +60,7 @@ func runUninterrupted(t *testing.T, data *Data, cfg Config) *Sampler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -116,7 +116,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 			if got := resumed.CompletedSweeps(); got != killAt {
 				t.Fatalf("resumed sampler at sweep %d, want %d", got, killAt)
 			}
-			if err := resumed.Run(nil); err != nil {
+			if err := resumed.Run(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -162,7 +162,7 @@ func TestResumeFitExtendsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if res := s.Estimate(); len(res.LogLik) != longer.Iterations {
@@ -196,7 +196,7 @@ func TestCheckpointCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{6, 12, 18}; !reflect.DeepEqual(sweeps, want) {
@@ -221,7 +221,7 @@ func TestResumeSamplerRejectsMismatch(t *testing.T) {
 		{"seed", func(c *Config, sn *Snapshot, d *Data) { c.Seed++ }},
 		{"workers", func(c *Config, sn *Snapshot, d *Data) { c.Workers = 4 }},
 		{"kernel", func(c *Config, sn *Snapshot, d *Data) { sn.Kernel = kernelParallel }},
-		{"ad-lda", func(c *Config, sn *Snapshot, d *Data) { sn.Kernel, sn.Workers, c.Workers = "", 4, 4 }},
+		{"no-kernel", func(c *Config, sn *Snapshot, d *Data) { sn.Kernel = "" }},
 		{"collapsed", func(c *Config, sn *Snapshot, d *Data) { c.Collapsed = true }},
 		{"topics", func(c *Config, sn *Snapshot, d *Data) { c.K = 5 }},
 		{"future-format", func(c *Config, sn *Snapshot, d *Data) { sn.FormatVersion = 99 }},
@@ -247,29 +247,6 @@ func TestResumeSamplerRejectsMismatch(t *testing.T) {
 				t.Fatalf("mismatch %q not rejected with ErrSnapshot; got %v", tc.name, err)
 			}
 		})
-	}
-}
-
-// TestResumeLegacySequentialSnapshot: a snapshot written before
-// snapshots named their kernel carries "workers": 1 and no kernel; it
-// is the sequential kernel's, so it still resumes there.
-func TestResumeLegacySequentialSnapshot(t *testing.T) {
-	cfg := snapshotTestConfig()
-	data, _ := synthData(7, 60)
-	var buf bytes.Buffer
-	if err := runKilled(t, data, cfg, 10).WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	legacy := bytes.Replace(buf.Bytes(), []byte(`"kernel":"sequential"`), []byte(`"workers":1`), 1)
-	sn, err := ReadSnapshotJSON(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn.Kernel != "" || sn.Workers != 1 {
-		t.Fatalf("legacy snapshot read as kernel %q, workers %d", sn.Kernel, sn.Workers)
-	}
-	if _, err := ResumeSampler(data, cfg, sn); err != nil {
-		t.Fatalf("legacy sequential snapshot refused: %v", err)
 	}
 }
 

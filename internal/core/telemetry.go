@@ -63,17 +63,6 @@ func occupancy(mk []int, docs int) (occupied int, maxShare float64) {
 	return occupied, maxShare
 }
 
-// FoldInStats is the telemetry of one fold-in inference: chain length,
-// input size, wall time, and whether the chain was abandoned by its
-// context. Canceled chains report the sweeps they completed before the
-// context ended.
-type FoldInStats struct {
-	Sweeps   int
-	Words    int
-	Total    time.Duration
-	Canceled bool
-}
-
 // phaseTimes carries the per-phase wall-clock of one sweep between the
 // kernels and Run's telemetry.
 type phaseTimes struct {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestSweepHooksReceiveStats checks the telemetry contract of Run: one
 // SweepStats per sweep, in order, with phase timings that add up and a
@@ -18,7 +15,7 @@ func TestSweepHooksReceiveStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(nil); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(stats) != cfg.Iterations {
@@ -98,42 +95,5 @@ func TestSweepHooksThen(t *testing.T) {
 	}
 	if (SweepHooks{}).Then(SweepHooks{}).OnSweep != nil {
 		t.Fatal("zero.Then(zero) should stay zero")
-	}
-}
-
-// TestFoldInHook checks fold-in telemetry on both the completed and
-// the canceled path.
-func TestFoldInHook(t *testing.T) {
-	data, _ := synthData(23, 90)
-	cfg := smallCfg()
-	cfg.Iterations = 60
-	res, err := Fit(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []FoldInStats
-	res.FoldInHook = func(st FoldInStats) { got = append(got, st) }
-
-	words := []int{0, 1, 2}
-	if _, err := res.FoldIn(words, data.Gel[0], data.Emu[0], 40, 7); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("hook fired %d times, want 1", len(got))
-	}
-	if got[0].Sweeps != 40 || got[0].Words != 3 || got[0].Canceled || got[0].Total <= 0 {
-		t.Fatalf("completed stats %+v", got[0])
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := res.FoldInCtx(ctx, words, data.Gel[0], data.Emu[0], 40, 7); err == nil {
-		t.Fatal("canceled fold-in should fail")
-	}
-	if len(got) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(got))
-	}
-	if !got[1].Canceled || got[1].Sweeps != 0 {
-		t.Fatalf("canceled stats %+v", got[1])
 	}
 }

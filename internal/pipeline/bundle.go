@@ -42,7 +42,7 @@ func (o *Output) SaveBundle(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return writeContainer(w, kindBundle, bundleSchema, payload, nil)
+	return writeContainer(w, kindBundle, bundleSchema, payload)
 }
 
 // EncodeBundle renders the fitted state as container bytes plus the

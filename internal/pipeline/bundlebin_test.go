@@ -80,7 +80,7 @@ func wrapPayload(t testing.TB, schema int, raw []byte) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := writeContainer(&buf, kindBundle, schema, gzBuf.Bytes(), nil); err != nil {
+	if err := writeContainer(&buf, kindBundle, schema, gzBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -293,7 +293,7 @@ func TestLoadBundleRejectsLyingGzipTrailer(t *testing.T) {
 			lying := append([]byte(nil), stream...)
 			binary.LittleEndian.PutUint32(lying[len(lying)-4:], tc.claim)
 			var buf bytes.Buffer
-			if err := writeContainer(&buf, kindBundle, bundleSchema, lying, nil); err != nil {
+			if err := writeContainer(&buf, kindBundle, bundleSchema, lying); err != nil {
 				t.Fatal(err)
 			}
 			var err error

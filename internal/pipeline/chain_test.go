@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -194,10 +195,11 @@ func TestParallelFitKillAndResume(t *testing.T) {
 }
 
 // TestResumeRefusesOtherKernel: a checkpoint of the sequential kernel
-// cannot continue on the parallel one, nor can one the retired AD-LDA
-// kernel wrote (a worker count above one and no kernel). Unsupervised,
-// the resume fails with core.ErrSnapshot; supervised, the checkpoint is
-// retired and the fit starts fresh.
+// cannot continue on the parallel one, nor can one that names no
+// kernel, as older builds (the retired AD-LDA kernel among them) wrote.
+// Unsupervised, the resume fails with core.ErrSnapshot, and for a
+// snapshot without a kernel the error names the remedy; supervised, the
+// checkpoint is retired and the fit starts fresh.
 func TestResumeRefusesOtherKernel(t *testing.T) {
 	opts, recipes := workerFitOptions(t)
 	seqDir := t.TempDir()
@@ -208,21 +210,25 @@ func TestResumeRefusesOtherKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adlda := *sn
-	adlda.Kernel, adlda.Workers = "", 2
-	adldaDir := t.TempDir()
-	if err := WriteCheckpointFile(adldaDir, &adlda); err != nil {
+	noKernel := *sn
+	noKernel.Kernel = ""
+	noKernelDir := t.TempDir()
+	if err := WriteCheckpointFile(noKernelDir, &noKernel); err != nil {
 		t.Fatal(err)
 	}
 
 	par := opts
 	par.ShardCount = 2
 	fresh := fitBundle(t, recipes, par)
-	for name, dir := range map[string]string{"sequential": seqDir, "ad-lda": adldaDir} {
+	for name, dir := range map[string]string{"sequential": seqDir, "ad-lda": noKernelDir} {
 		par.Checkpoint = CheckpointOptions{Dir: dir, Every: 5, Resume: true}
 		par.Supervise = false
-		if _, err := RunOnRecipes(recipes, par); !errors.Is(err, core.ErrSnapshot) {
+		_, err := RunOnRecipes(recipes, par)
+		if !errors.Is(err, core.ErrSnapshot) {
 			t.Fatalf("%s checkpoint, unsupervised: %v, want ErrSnapshot", name, err)
+		}
+		if dir == noKernelDir && !strings.Contains(err.Error(), "delete the checkpoint or run without -resume") {
+			t.Fatalf("%s checkpoint: %v does not name the remedy", name, err)
 		}
 		par.Supervise = true
 		if got := fitBundle(t, recipes, par); !bytes.Equal(got, fresh) {

@@ -2,13 +2,10 @@ package pipeline
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -28,69 +25,11 @@ const CheckpointFile = "checkpoint.ckpt"
 // core snapshot wire format rides inside; core versions that itself).
 const checkpointSchemaVersion = 1
 
-// ErrUnhealthyCheckpoint marks a checkpoint whose health digest (or
-// log-likelihood trace) shows the chain had already diverged when it
-// was written. The supervisor skips such checkpoints and restarts
-// fresh instead of resuming garbage.
-var ErrUnhealthyCheckpoint = errors.New("pipeline: checkpoint unhealthy")
-
-// CheckpointHealth is the health digest stamped into a checkpoint
-// container's header: enough for a supervisor to decide "safe to
-// resume?" without decompressing the payload.
-type CheckpointHealth struct {
-	// Sweep is the snapshot's completed-sweep index.
-	Sweep int `json:"sweep"`
-	// LogLik is the last finite log-likelihood in the trace (0 when the
-	// trace is empty). Kept finite by construction: JSON cannot carry
-	// NaN, and a non-finite trace flips Healthy off instead.
-	LogLik float64 `json:"loglik"`
-	// Healthy is false when the trace contains a non-finite value — the
-	// signature of a checkpoint written mid-divergence.
-	Healthy bool `json:"healthy"`
-	// Reason explains an unhealthy digest.
-	Reason string `json:"reason,omitempty"`
-}
-
-// snapshotHealth derives the digest from the snapshot's own trace: a
-// chain is presumed healthy unless its log-likelihood history says
-// otherwise. Also used on load, so a digest cannot claim health its
-// payload contradicts (and legacy digest-less checkpoints get the same
-// scrutiny).
-func snapshotHealth(sn *core.Snapshot) CheckpointHealth {
-	h := CheckpointHealth{Sweep: sn.Sweep, Healthy: true}
-	for i, v := range sn.LogLik {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			h.Healthy = false
-			h.Reason = fmt.Sprintf("non-finite log-likelihood at trace index %d", i)
-			continue
-		}
-		h.LogLik = v
-	}
-	return h
-}
-
 // WriteCheckpointFile persists the snapshot to dir/checkpoint.ckpt in
 // the format-2 durable container (kind "checkpoint"), crash-safely via
-// temp file + fsync + atomic rename, stamping the header with a health
-// digest derived from the snapshot's log-likelihood trace. The
-// directory is created if absent.
+// temp file + fsync + atomic rename. The directory is created if
+// absent.
 func WriteCheckpointFile(dir string, sn *core.Snapshot) error {
-	h := snapshotHealth(sn)
-	return WriteCheckpointFileWithHealth(dir, sn, h)
-}
-
-// WriteCheckpointFileWithHealth is WriteCheckpointFile with an
-// explicit health digest — for callers that know more than the trace
-// shows (or tests forging diverged checkpoints). A non-finite LogLik
-// is sanitized to keep the header JSON-encodable.
-func WriteCheckpointFileWithHealth(dir string, sn *core.Snapshot, h CheckpointHealth) error {
-	if math.IsNaN(h.LogLik) || math.IsInf(h.LogLik, 0) {
-		h.LogLik = 0
-		h.Healthy = false
-		if h.Reason == "" {
-			h.Reason = "non-finite log-likelihood"
-		}
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("pipeline: checkpoint dir: %w", err)
 	}
@@ -99,7 +38,7 @@ func WriteCheckpointFileWithHealth(dir string, sn *core.Snapshot, h CheckpointHe
 		return err
 	}
 	return AtomicWriteFile(filepath.Join(dir, CheckpointFile), func(w *bufio.Writer) error {
-		return writeContainer(w, kindCheckpoint, checkpointSchemaVersion, body, &h)
+		return writeContainer(w, kindCheckpoint, checkpointSchemaVersion, body)
 	})
 }
 
@@ -108,57 +47,35 @@ func WriteCheckpointFileWithHealth(dir string, sn *core.Snapshot, h CheckpointHe
 // fall back to a fresh fit; damaged or foreign files return wrapped
 // ErrCorrupt / ErrVersion / ErrKind like bundles do.
 func LoadCheckpointFile(dir string) (*core.Snapshot, error) {
-	sn, _, err := LoadCheckpointWithHealth(dir)
-	return sn, err
-}
-
-// LoadCheckpointWithHealth is LoadCheckpointFile exposing the health
-// digest. Checkpoints from writers predating the digest derive one
-// from the snapshot's trace; either way the digest is cross-checked
-// against the trace, so Healthy=true means both header and payload
-// agree the chain was clean.
-func LoadCheckpointWithHealth(dir string) (*core.Snapshot, CheckpointHealth, error) {
 	path := filepath.Join(dir, CheckpointFile)
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, CheckpointHealth{}, fmt.Errorf("pipeline: opening checkpoint: %w", err)
+		return nil, fmt.Errorf("pipeline: opening checkpoint: %w", err)
 	}
-	sn, h, err := readCheckpoint(bytes.NewReader(b))
+	sn, err := readCheckpoint(b)
 	if err != nil {
-		return nil, h, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return sn, h, nil
+	return sn, nil
 }
 
-// readCheckpoint parses a checkpoint container stream.
-func readCheckpoint(r io.Reader) (*core.Snapshot, CheckpointHealth, error) {
-	var health CheckpointHealth
-	payload, hdr, err := readContainer(r, kindCheckpoint)
+// readCheckpoint parses the bytes of one checkpoint container. Header
+// keys it does not know, such as the "health" object older builds
+// wrote, are ignored.
+func readCheckpoint(b []byte) (*core.Snapshot, error) {
+	payload, hdr, err := parseContainer(b, kindCheckpoint)
 	if err != nil {
-		return nil, health, err
+		return nil, err
 	}
 	if hdr.Schema > checkpointSchemaVersion || hdr.Schema < 1 {
-		return nil, health, fmt.Errorf("pipeline: checkpoint schema %d, this build reads ≤ %d: %w",
+		return nil, fmt.Errorf("pipeline: checkpoint schema %d, this build reads ≤ %d: %w",
 			hdr.Schema, checkpointSchemaVersion, ErrVersion)
 	}
 	sn, err := gunzipJSON(payload, "checkpoint", core.ReadSnapshotJSON)
 	if err != nil {
-		return nil, health, fmt.Errorf("pipeline: %w", err)
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	derived := snapshotHealth(sn)
-	if hdr.Health == nil {
-		// Pre-digest writer: judge the chain by its trace alone.
-		health = derived
-	} else {
-		health = *hdr.Health
-		if health.Healthy && !derived.Healthy {
-			// The header claims health the payload contradicts; trust the
-			// evidence over the label.
-			health.Healthy = false
-			health.Reason = derived.Reason
-		}
-	}
-	return sn, health, nil
+	return sn, nil
 }
 
 // CheckpointWriter writes snapshots in the background so the sampler
@@ -275,35 +192,23 @@ type CheckpointOptions struct {
 }
 
 // FitCheckpointStore adapts the pipeline's single-file durable
-// checkpoint to the supervisor's CheckpointStore: health-gated loads,
-// a fresh background writer per attempt, and discard-by-rename so a
-// burned checkpoint stays on disk for post-mortems.
+// checkpoint to the supervisor's CheckpointStore: plain loads, a fresh
+// background writer per attempt, and discard-by-rename so a burned
+// checkpoint stays on disk for post-mortems.
 type FitCheckpointStore struct {
 	Dir     string
 	Metrics *obs.Registry
-	// Injector is forwarded to each attempt's CheckpointWriter (fault
-	// injection for the durable write path).
-	Injector resilience.Injector
 }
 
 // Writer returns a fresh CheckpointWriter pair for one fit attempt.
 func (st *FitCheckpointStore) Writer() (func(*core.Snapshot) error, func() error) {
 	w := NewCheckpointWriter(st.Dir, st.Metrics)
-	w.Injector = st.Injector
 	return w.Write, w.Flush
 }
 
-// LoadHealthy loads the checkpoint only when its health digest — and
-// the trace inside — agree the chain was clean at write time.
-func (st *FitCheckpointStore) LoadHealthy() (*core.Snapshot, error) {
-	sn, h, err := LoadCheckpointWithHealth(st.Dir)
-	if err != nil {
-		return nil, err
-	}
-	if !h.Healthy {
-		return nil, fmt.Errorf("%w: sweep %d: %s", ErrUnhealthyCheckpoint, h.Sweep, h.Reason)
-	}
-	return sn, nil
+// Load reads the checkpoint in Dir (LoadCheckpointFile).
+func (st *FitCheckpointStore) Load() (*core.Snapshot, error) {
+	return LoadCheckpointFile(st.Dir)
 }
 
 // Discard retires the current checkpoint by renaming it to
@@ -334,11 +239,11 @@ func fitModel(data *core.Data, opts Options) (*core.Result, []resilience.Inciden
 }
 
 // startupResume loads the checkpoint a resumed fit starts from: nil
-// when Checkpoint.Resume is off or there is nothing to resume yet. A
-// checkpoint another kernel wrote cannot be resumed (see
-// core.Snapshot.CheckKernel). Unsupervised, a checkpoint that cannot be
-// resumed is an error.
-// Supervised, a diverged or damaged one is retired and the fit starts
+// when Checkpoint.Resume is off or there is nothing to resume yet. The
+// decision rests on the snapshot in the file: a damaged file, or a
+// snapshot the configured kernel cannot continue (see
+// core.Snapshot.CheckKernel), cannot be resumed. Unsupervised, that is
+// an error. Supervised, the checkpoint is retired and the fit starts
 // fresh: self-healing means starting over and saying so.
 func startupResume(opts Options) (*core.Snapshot, error) {
 	ck := opts.Checkpoint
@@ -346,21 +251,14 @@ func startupResume(opts Options) (*core.Snapshot, error) {
 		return nil, nil
 	}
 	st := &FitCheckpointStore{Dir: ck.Dir}
-	var sn *core.Snapshot
-	var err error
-	if opts.Supervise {
-		sn, err = st.LoadHealthy()
-	} else {
-		sn, err = LoadCheckpointFile(ck.Dir)
-	}
+	sn, err := st.Load()
 	if err == nil {
 		err = sn.CheckKernel(opts.Model)
 	}
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return nil, nil
-	case opts.Supervise && (errors.Is(err, ErrUnhealthyCheckpoint) || errors.Is(err, ErrCorrupt) ||
-		errors.Is(err, core.ErrSnapshot)):
+	case opts.Supervise && (errors.Is(err, ErrCorrupt) || errors.Is(err, core.ErrSnapshot)):
 		_ = st.Discard("unusable at startup resume: " + err.Error())
 		return nil, nil
 	case err != nil:
@@ -414,29 +312,27 @@ func RunChain(ctx context.Context, data *core.Data, opts Options, initial *core.
 		}
 		sup.MaxRestarts = opts.MaxRestarts
 		if reg := opts.Metrics; reg != nil {
-			superviseMetrics(reg, &cfg, sup)
+			superviseMetrics(reg, sup)
 		}
 	}
 	return sup.RunFit(ctx, data, cfg, initial)
 }
 
 // superviseMetrics counts a supervised chain's health events, restarts
-// and the sweeps its rollbacks replay into reg.
-func superviseMetrics(reg *obs.Registry, cfg *core.Config, sup *resilience.Supervisor) {
-	prev := cfg.Health.OnEvent
-	cfg.Health.OnEvent = func(ev core.HealthEvent) {
-		reg.Counter("fit_health_events_total",
-			"Numerical-health violations detected during model fits.",
-			obs.Labels{"kind": string(ev.Kind)}).Inc()
-		if prev != nil {
-			prev(ev)
-		}
-	}
+// and the sweeps its rollbacks replay into reg. Every attempt that a
+// health check ended is one incident of that check's kind, given up
+// or not; "error" incidents are failures of another sort.
+func superviseMetrics(reg *obs.Registry, sup *resilience.Supervisor) {
 	restartsC := reg.Counter("fit_restarts_total",
 		"Supervised fit attempts restarted after an incident.", nil)
 	rollbackC := reg.Counter("fit_rollback_sweeps_total",
 		"Sweeps of progress lost to checkpoint rollbacks.", nil)
 	sup.OnIncident = func(inc resilience.Incident) {
+		if inc.Kind != "error" {
+			reg.Counter("fit_health_events_total",
+				"Numerical-health violations detected during model fits.",
+				obs.Labels{"kind": inc.Kind}).Inc()
+		}
 		if inc.Action == resilience.ActionGaveUp {
 			return
 		}

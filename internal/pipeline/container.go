@@ -24,7 +24,10 @@
 // stops (LoadModel). It is the only bundle schema read: the schema-1
 // JSON and schema-2 binary bundles older builds wrote are refused with
 // ErrVersion and must be rebuilt. Checkpoints carry gzipped JSON, the
-// watermark plain JSON.
+// watermark plain JSON. The header describes only the envelope: whether
+// a checkpoint can be resumed is decided from the snapshot it holds.
+// Readers ignore header keys they do not know, such as the "health"
+// object older builds stamped into checkpoint headers.
 package pipeline
 
 import (
@@ -70,19 +73,10 @@ type containerHeader struct {
 	Schema     int    `json:"schema"`
 	PayloadLen int64  `json:"payload_len"`
 	SHA256     string `json:"sha256"`
-
-	// Health is the checkpoint health digest (kind "checkpoint" only).
-	// Optional by design: readers ignore an absent digest (files from
-	// older writers) and older readers ignore the extra field, so no
-	// schema bump is needed. It lives in the header — parsed before any
-	// payload byte — so a supervisor can skip a corrupt-by-divergence
-	// checkpoint without decompressing the diverged state.
-	Health *CheckpointHealth `json:"health,omitempty"`
 }
 
-// writeContainer wraps payload in the format-2 envelope. health may be
-// nil (bundles; legacy-shaped checkpoints in tests).
-func writeContainer(w io.Writer, kind string, schema int, payload []byte, health *CheckpointHealth) error {
+// writeContainer wraps payload in the format-2 envelope.
+func writeContainer(w io.Writer, kind string, schema int, payload []byte) error {
 	digest := sha256.Sum256(payload)
 	hdr, err := json.Marshal(containerHeader{
 		Format:     containerFormat,
@@ -90,7 +84,6 @@ func writeContainer(w io.Writer, kind string, schema int, payload []byte, health
 		Schema:     schema,
 		PayloadLen: int64(len(payload)),
 		SHA256:     hex.EncodeToString(digest[:]),
-		Health:     health,
 	})
 	if err != nil {
 		return fmt.Errorf("pipeline: encoding container header: %w", err)
@@ -154,15 +147,6 @@ func BundleDigest(b []byte) (string, error) {
 	return hdr.SHA256, nil
 }
 
-// readContainer reads all of r and parses it with parseContainer.
-func readContainer(r io.Reader, kind string) ([]byte, containerHeader, error) {
-	b, err := readSource(r)
-	if err != nil {
-		return nil, containerHeader{}, err
-	}
-	return parseContainer(b, kind)
-}
-
 // readSource reads r to EOF. A reader that knows how many bytes it
 // holds (*bytes.Reader, *bytes.Buffer, *strings.Reader) is read into
 // one buffer of exactly that size; any other grows with what it
@@ -186,9 +170,8 @@ func readSource(r io.Reader) ([]byte, error) {
 
 // parseContainer parses b as exactly one container of the wanted kind
 // — magic, then the format-2 envelope — verifies the digest, and
-// returns the payload (a sub-slice of b) with the full header (schema
-// version, health digest). Every length is checked against the bytes
-// b holds before it is trusted.
+// returns the payload (a sub-slice of b) with the header. Every length
+// is checked against the bytes b holds before it is trusted.
 func parseContainer(b []byte, kind string) ([]byte, containerHeader, error) {
 	var hdr containerHeader
 	if len(b) < len(containerMagic) {

@@ -142,14 +142,14 @@ func TestLoadBundleRejectsDamage(t *testing.T) {
 	}
 	futureSchema := func() []byte {
 		var buf bytes.Buffer
-		if err := writeContainer(&buf, kindBundle, 99, []byte("opaque future payload"), nil); err != nil {
+		if err := writeContainer(&buf, kindBundle, 99, []byte("opaque future payload")); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}()
 	wrongKind := func() []byte {
 		var buf bytes.Buffer
-		if err := writeContainer(&buf, kindCheckpoint, 1, []byte("snapshot bytes"), nil); err != nil {
+		if err := writeContainer(&buf, kindCheckpoint, 1, []byte("snapshot bytes")); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -237,7 +237,7 @@ func TestHugePayloadClaimAllocatesNothing(t *testing.T) {
 		{"LoadBundle", func() error { _, err := LoadBundle(bytes.NewReader(bundle)); return err }},
 		{"LoadModel", func() error { _, err := LoadModel(bytes.NewReader(bundle)); return err }},
 		{"BundleDigest", func() error { _, err := BundleDigest(bundle); return err }},
-		{"readCheckpoint", func() error { _, _, err := readCheckpoint(bytes.NewReader(checkpoint)); return err }},
+		{"readCheckpoint", func() error { _, err := readCheckpoint(checkpoint); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
@@ -377,7 +377,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("checkpoint does not resume: %v", err)
 		}
-		if err := s.Run(nil); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return s.Estimate()

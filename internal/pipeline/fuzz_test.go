@@ -213,12 +213,15 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add(good[:len(good)/2])
+	// Headers carrying the health object older builds wrote.
+	f.Add(checkpointWithHealthHeader(f, snap, true))
+	f.Add(checkpointWithHealthHeader(f, snap, false))
 	f.Add(validBundleV2(f)) // wrong kind
 	f.Add([]byte(containerMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sn, _, err := readCheckpoint(bytes.NewReader(data))
+		sn, err := readCheckpoint(data)
 		if err == nil {
 			if sn == nil {
 				t.Fatal("nil snapshot without error")

@@ -1,11 +1,17 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -49,76 +55,86 @@ func superviseConfig(iters int) core.Config {
 	return cfg
 }
 
-// TestCheckpointHealthDigest covers the digest round trip: a clean
-// trace stamps Healthy=true; a NaN in the trace flips it off both at
-// write time and — defense in depth — when a forged header claims
-// otherwise.
-func TestCheckpointHealthDigest(t *testing.T) {
-	_, _, snap := checkpointSnapshot(t)
+// checkpointWithHealthHeader encodes sn as older builds wrote it: the
+// same payload, with a "health" digest object after the payload digest
+// in the container header.
+func checkpointWithHealthHeader(t testing.TB, sn *core.Snapshot, healthy bool) []byte {
+	t.Helper()
+	body, err := gzipJSON("checkpoint", sn.WriteJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type health struct {
+		Sweep   int     `json:"sweep"`
+		LogLik  float64 `json:"loglik"`
+		Healthy bool    `json:"healthy"`
+		Reason  string  `json:"reason,omitempty"`
+	}
+	h := health{Sweep: sn.Sweep, LogLik: sn.LogLik[len(sn.LogLik)-1], Healthy: healthy}
+	if !healthy {
+		h.Reason = "non-finite log-likelihood"
+	}
+	digest := sha256.Sum256(body)
+	hdr, err := json.Marshal(struct {
+		containerHeader
+		Health health `json:"health"`
+	}{containerHeader{
+		Format:     containerFormat,
+		Kind:       kindCheckpoint,
+		Schema:     checkpointSchemaVersion,
+		PayloadLen: int64(len(body)),
+		SHA256:     hex.EncodeToString(digest[:]),
+	}, h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(containerMagic), 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(out[len(containerMagic):], uint32(len(hdr)))
+	return append(append(out, hdr...), body...)
+}
 
-	t.Run("healthy", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := WriteCheckpointFile(dir, snap); err != nil {
-			t.Fatal(err)
-		}
-		sn, h, err := LoadCheckpointWithHealth(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !h.Healthy || h.Sweep != snap.Sweep || sn.Sweep != snap.Sweep {
-			t.Fatalf("digest = %+v, want healthy at sweep %d", h, snap.Sweep)
-		}
-		if math.IsNaN(h.LogLik) || math.IsInf(h.LogLik, 0) {
-			t.Fatalf("digest log-likelihood %v not finite", h.LogLik)
-		}
-	})
+// TestResumeFromOldHealthHeader: a checkpoint whose header carries
+// the health object older builds wrote loads as the snapshot it holds,
+// whatever "healthy" says, and a fit resumed from it — supervised or
+// not — lands on the bundle of an uninterrupted fit, byte for byte.
+func TestResumeFromOldHealthHeader(t *testing.T) {
+	opts, recipes := workerFitOptions(t)
+	want := fitBundle(t, recipes, opts)
+	killed := opts
+	killed.Model.Iterations = 20
+	killed.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 5}
+	fitBundle(t, recipes, killed)
+	sn, err := LoadCheckpointFile(killed.Checkpoint.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	t.Run("derived-from-trace", func(t *testing.T) {
-		// JSON cannot carry NaN, so a snapshot holding a non-finite trace
-		// never reaches disk; the derivation itself must still flag it so
-		// writers stamp Healthy=false instead of failing to encode.
-		poisoned := *snap
-		poisoned.LogLik = append(append([]float64(nil), snap.LogLik...), math.NaN())
-		if h := snapshotHealth(&poisoned); h.Healthy || h.Reason == "" {
-			t.Fatalf("snapshotHealth = %+v, want unhealthy with a reason", h)
+	for _, healthy := range []bool{true, false} {
+		for _, supervise := range []bool{false, true} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, CheckpointFile), checkpointWithHealthHeader(t, sn, healthy), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadCheckpointFile(dir)
+			if err != nil {
+				t.Fatalf("healthy=%v: %v", healthy, err)
+			}
+			if !reflect.DeepEqual(loaded, sn) {
+				t.Fatalf("healthy=%v: the snapshot loads changed", healthy)
+			}
+			resumed := opts
+			resumed.Supervise = supervise
+			resumed.Checkpoint = CheckpointOptions{Dir: dir, Every: 5, Resume: true}
+			resumed.Metrics = obs.NewRegistry()
+			got := fitBundle(t, recipes, resumed)
+			if resumed.Metrics.Counter("checkpoint_loads_total", "", nil).Value() != 1 {
+				t.Fatalf("healthy=%v supervise=%v: the checkpoint was not resumed", healthy, supervise)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("healthy=%v supervise=%v: resume from sweep %d differs from the uninterrupted fit", healthy, supervise, sn.Sweep)
+			}
 		}
-	})
-
-	t.Run("unhealthy-header-gates-load", func(t *testing.T) {
-		dir := t.TempDir()
-		unhealthy := CheckpointHealth{Sweep: snap.Sweep, Healthy: false, Reason: "diverged"}
-		if err := WriteCheckpointFileWithHealth(dir, snap, unhealthy); err != nil {
-			t.Fatal(err)
-		}
-		// The plain loader still hands the snapshot back (crash-resume
-		// compatibility)…
-		if _, err := LoadCheckpointFile(dir); err != nil {
-			t.Fatal(err)
-		}
-		// …but the supervisor's health-gated load refuses it.
-		st := &FitCheckpointStore{Dir: dir}
-		if _, err := st.LoadHealthy(); !errors.Is(err, ErrUnhealthyCheckpoint) {
-			t.Fatalf("LoadHealthy error = %v, want ErrUnhealthyCheckpoint", err)
-		}
-	})
-
-	t.Run("sanitizes-nonfinite-digest", func(t *testing.T) {
-		dir := t.TempDir()
-		// A digest stamped mid-divergence may carry a NaN log-likelihood;
-		// the writer must keep the header JSON-encodable and record the
-		// unhealthiness rather than erroring.
-		bad := CheckpointHealth{Sweep: snap.Sweep, LogLik: math.NaN(), Healthy: true}
-		if err := WriteCheckpointFileWithHealth(dir, snap, bad); err != nil {
-			t.Fatal(err)
-		}
-		_, h, err := LoadCheckpointWithHealth(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Healthy || math.IsNaN(h.LogLik) {
-			t.Fatalf("digest = %+v, want unhealthy with a finite log-likelihood", h)
-		}
-	})
+	}
 }
 
 // syncCrashStore is FitCheckpointStore with a synchronous writer: the
@@ -174,13 +190,13 @@ func TestSupervisedRollbackAfterCheckpointWriteCrash(t *testing.T) {
 		t.Fatalf("incident = %+v, want a rollback resuming the surviving sweep-10 checkpoint", inc)
 	}
 	// The recovered attempt ran to completion writing checkpoints past
-	// the crash point; the final one must be durable and healthy.
-	sn, h, lerr := LoadCheckpointWithHealth(dir)
+	// the crash point; the final one must be durable.
+	sn, lerr := LoadCheckpointFile(dir)
 	if lerr != nil {
 		t.Fatal(lerr)
 	}
-	if !h.Healthy || sn.Sweep != 40 {
-		t.Fatalf("final checkpoint sweep %d healthy=%v, want sweep 40 healthy", sn.Sweep, h.Healthy)
+	if sn.Sweep != 40 {
+		t.Fatalf("final checkpoint sweep %d, want sweep 40", sn.Sweep)
 	}
 }
 
@@ -221,23 +237,25 @@ func TestCheckpointWriterCrashLeavesPreviousCheckpoint(t *testing.T) {
 }
 
 // TestSupervisedResumeSkipsUnhealthyCheckpoint: a startup -resume
-// pointed at a diverged checkpoint must not resume it — the supervisor
-// retires the file and starts fresh.
+// pointed at a checkpoint that cannot be resumed (here a corrupt one)
+// must not resume it — the supervisor retires the file and starts
+// fresh.
 func TestSupervisedResumeSkipsUnhealthyCheckpoint(t *testing.T) {
 	data := superviseData(30)
 	cfg := superviseConfig(20)
 	dir := t.TempDir()
 
-	// A snapshot with a non-finite trace cannot even be JSON-encoded, so
-	// a checkpoint written mid-divergence carries an explicit unhealthy
-	// digest instead — forge one the way the writer would stamp it.
 	_, _, snap := checkpointSnapshot(t)
-	unhealthy := CheckpointHealth{
-		Sweep:   snap.Sweep,
-		Healthy: false,
-		Reason:  "non-finite log-likelihood",
+	if err := WriteCheckpointFile(dir, snap); err != nil {
+		t.Fatal(err)
 	}
-	if err := WriteCheckpointFileWithHealth(dir, snap, unhealthy); err != nil {
+	path := filepath.Join(dir, CheckpointFile)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-10] ^= 0x40
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,25 +271,26 @@ func TestSupervisedResumeSkipsUnhealthyCheckpoint(t *testing.T) {
 	if res == nil || len(incidents) != 0 {
 		t.Fatalf("want a clean fresh fit, got incidents %+v", incidents)
 	}
-	if _, err := os.Stat(filepath.Join(dir, CheckpointFile+".discarded")); err != nil {
-		t.Fatalf("diverged checkpoint not retired to .discarded: %v", err)
+	if _, err := os.Stat(path + ".discarded"); err != nil {
+		t.Fatalf("corrupt checkpoint not retired to .discarded: %v", err)
 	}
-	// The fresh fit replaced the retired checkpoint with a healthy one
+	// The fresh fit replaced the retired checkpoint with a loadable one
 	// (the background writer may have skipped the final cadence point,
-	// so only the digest and a positive sweep are pinned).
-	sn, h, err := LoadCheckpointWithHealth(dir)
+	// so only a positive sweep is pinned).
+	sn, err := LoadCheckpointFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.Healthy || sn.Sweep < 10 {
-		t.Fatalf("fresh fit's checkpoint sweep %d healthy=%v, want a healthy checkpoint at sweep ≥ 10", sn.Sweep, h.Healthy)
+	if sn.Sweep < 10 {
+		t.Fatalf("fresh fit's checkpoint sweep %d, want a checkpoint at sweep ≥ 10", sn.Sweep)
 	}
 }
 
 // TestSupervisedRestartBudgetAsGiven: RunChain uses MaxRestarts as
 // given. A chain that turns NaN at sweep 5 on every attempt runs
 // exactly MaxRestarts+1 attempts: one with a budget of 0 (as
-// -supervise -max-restarts 0 asks), four with DefaultOptions' 3.
+// -supervise -max-restarts 0 asks), four with DefaultOptions' 3. Every
+// attempt's health event is counted, the given-up one's too.
 func TestSupervisedRestartBudgetAsGiven(t *testing.T) {
 	data := superviseData(40)
 	cfg := superviseConfig(20)
@@ -282,13 +301,17 @@ func TestSupervisedRestartBudgetAsGiven(t *testing.T) {
 		return ll
 	}
 	for _, budget := range []int{0, DefaultOptions().MaxRestarts} {
-		opts := Options{Model: cfg, Supervise: true, MaxRestarts: budget}
+		reg := obs.NewRegistry()
+		opts := Options{Model: cfg, Supervise: true, MaxRestarts: budget, Metrics: reg}
 		_, incidents, err := RunChain(context.Background(), data, opts, nil)
 		if !errors.Is(err, core.ErrUnhealthy) {
 			t.Fatalf("MaxRestarts=%d: err = %v, want ErrUnhealthy", budget, err)
 		}
 		if len(incidents) != budget+1 || incidents[len(incidents)-1].Action != resilience.ActionGaveUp {
 			t.Fatalf("MaxRestarts=%d: %d attempts (incidents %+v), want %d", budget, len(incidents), incidents, budget+1)
+		}
+		if n := reg.Counter("fit_health_events_total", "", obs.Labels{"kind": "nan_loglik"}).Value(); n != int64(budget+1) {
+			t.Fatalf("MaxRestarts=%d: fit_health_events_total{kind=nan_loglik} = %d, want %d", budget, n, budget+1)
 		}
 	}
 }

@@ -89,6 +89,6 @@ func SaveIngestWatermark(dir string, seq uint64, fitUnix int64) error {
 		return fmt.Errorf("pipeline: encoding watermark: %w", err)
 	}
 	return AtomicWriteFile(filepath.Join(dir, IngestWatermarkFile), func(w *bufio.Writer) error {
-		return writeContainer(w, kindIngestWatermark, watermarkSchemaVersion, payload, nil)
+		return writeContainer(w, kindIngestWatermark, watermarkSchemaVersion, payload)
 	})
 }

@@ -13,7 +13,10 @@ import (
 
 // CheckpointStore is the supervisor's view of durable checkpoint
 // storage. The pipeline's single-file checkpoint directory implements
-// it; tests substitute in-memory fakes.
+// it; tests substitute in-memory fakes. A checkpoint holds only state
+// a sweep that passed its health check produced (Sampler.Run
+// classifies a sweep before it emits one), so whether it can be
+// resumed is decided by loading it, not by a label beside it.
 type CheckpointStore interface {
 	// Writer returns a fresh checkpoint sink for one fit attempt: write
 	// is installed as core.Config.CheckpointFunc, flush is called after
@@ -21,19 +24,18 @@ type CheckpointStore interface {
 	// per attempt means a sticky write error from a crashed attempt
 	// does not poison its successor.
 	Writer() (write func(*core.Snapshot) error, flush func() error)
-	// LoadHealthy returns the most recent checkpoint whose health
-	// digest marks the chain clean. Errors mean "nothing safe to resume
-	// from" — missing, corrupt, or diverged-at-write — and send the
-	// supervisor to a fresh restart.
-	LoadHealthy() (*core.Snapshot, error)
+	// Load returns the most recent checkpoint. Any error means
+	// "nothing to resume from" — missing, corrupt or unreadable — and
+	// sends the supervisor to a fresh restart.
+	Load() (*core.Snapshot, error)
 	// Discard retires the current checkpoint (e.g. after resuming it
-	// failed), so the next LoadHealthy does not hand it back.
+	// failed), so the next Load does not hand it back.
 	Discard(reason string) error
 }
 
 // Incident actions: what the supervisor did after a failed attempt.
 const (
-	ActionRollback = "rollback" // resumed the last healthy checkpoint
+	ActionRollback = "rollback" // resumed the last checkpoint
 	ActionRestart  = "restart"  // started a fresh reseeded chain
 	ActionGaveUp   = "gave_up"  // restart budget exhausted (or canceled)
 )
@@ -68,11 +70,15 @@ func (e *FitError) Error() string {
 func (e *FitError) Unwrap() error { return e.Last }
 
 // Supervisor wraps core fits with automatic recovery: health-aborted
-// or otherwise failed attempts roll back to the last healthy
-// checkpoint (when a Store is configured), escalate to a fresh
-// reseeded chain when the checkpoint itself is burned, apply the
-// jittered Backoff between attempts via Retry, and give up — with the
-// full incident history — once MaxRestarts recoveries are spent.
+// or otherwise failed attempts roll back to the last checkpoint (when
+// a Store is configured), escalate to a fresh reseeded chain when the
+// checkpoint itself is burned, apply the jittered Backoff between
+// attempts via Retry, and give up — with the full incident history —
+// once MaxRestarts recoveries are spent. A fresh restart after a
+// failure reseeds to seed + attempt·reseedStride, so a chain that
+// diverged from bad RNG luck does not replay the same trajectory;
+// rollbacks never reseed, since the checkpoint's RNG stream is part of
+// the state being resumed.
 type Supervisor struct {
 	// MaxRestarts bounds recovery attempts after the first; 0 means no
 	// recovery (a single attempt).
@@ -87,34 +93,14 @@ type Supervisor struct {
 	// every recovery is a fresh restart.
 	Store CheckpointStore
 
-	// ReseedStride offsets the seed of each fresh restart
-	// (seed + attempt·stride), so a chain that diverged from bad RNG
-	// luck does not replay the same trajectory. 0 picks a default.
-	// Rollbacks never reseed: the checkpoint's RNG stream is part of
-	// the state being resumed.
-	ReseedStride uint64
-
 	// OnIncident, when non-nil, observes each incident as it is
 	// recorded (metrics, logging).
 	OnIncident func(Incident)
-
-	// Now is the clock, overridable in tests. Nil means time.Now.
-	Now func() time.Time
 }
 
-func (sv *Supervisor) now() time.Time {
-	if sv.Now != nil {
-		return sv.Now()
-	}
-	return time.Now()
-}
-
-func (sv *Supervisor) reseedStride() uint64 {
-	if sv.ReseedStride != 0 {
-		return sv.ReseedStride
-	}
-	return 0x9E3779B97F4A7C15 // splitmix64 increment: odd, well-mixed
-}
+// reseedStride offsets the seed of each fresh restart: the splitmix64
+// increment, odd and well mixed.
+const reseedStride = 0x9E3779B97F4A7C15
 
 // RunFit runs the supervised fit. initial, when non-nil, is a
 // checkpoint to resume from on the first attempt (startup -resume);
@@ -147,14 +133,14 @@ func (sv *Supervisor) RunFit(ctx context.Context, data *core.Data, cfg core.Conf
 		if resume == nil && attempt > 0 {
 			// Fresh restart after a failure: reseed so the chain explores
 			// a different trajectory instead of replaying the divergence.
-			acfg.Seed = cfg.Seed + uint64(attempt)*sv.reseedStride()
+			acfg.Seed = cfg.Seed + uint64(attempt)*reseedStride
 		}
 		r, sweeps, runErr := sv.runOnce(ctx, data, acfg, resume)
 		if runErr == nil {
 			res = r
 			return nil
 		}
-		inc := sv.newIncident(attempt, sweeps, runErr)
+		inc := newIncident(attempt, sweeps, runErr)
 		if attempt+1 >= attempts || ctx.Err() != nil {
 			inc.Action = ActionGaveUp
 		} else {
@@ -184,8 +170,8 @@ func (sv *Supervisor) runOnce(ctx context.Context, data *core.Data, cfg core.Con
 		flush = fl
 	}
 	hb := &heartbeat{}
-	hb.beat(sv.now())
-	cfg.Hooks = cfg.Hooks.Then(core.SweepHooks{OnSweep: func(core.SweepStats) { hb.beat(sv.now()) }})
+	hb.beat(time.Now())
+	cfg.Hooks = cfg.Hooks.Then(core.SweepHooks{OnSweep: func(core.SweepStats) { hb.beat(time.Now()) }})
 
 	var s *core.Sampler
 	var err error
@@ -201,7 +187,7 @@ func (sv *Supervisor) runOnce(ctx context.Context, data *core.Data, cfg core.Con
 		return nil, -1, err
 	}
 	stop := sv.watch(ctx, s, hb, cfg.Health.SweepTimeout)
-	runErr := s.Run(nil)
+	runErr := s.Run()
 	stop()
 	sweeps := s.CompletedSweeps()
 	if flush != nil {
@@ -223,9 +209,9 @@ func (sv *Supervisor) nextStart(lastResume int, inc *Incident) (*core.Snapshot, 
 	if sv.Store == nil {
 		return nil, -1
 	}
-	sn, err := sv.Store.LoadHealthy()
+	sn, err := sv.Store.Load()
 	if err != nil {
-		inc.Detail += "; no healthy checkpoint: " + err.Error()
+		inc.Detail += "; no checkpoint to resume: " + err.Error()
 		return nil, -1
 	}
 	if sn.Sweep == lastResume {
@@ -245,14 +231,14 @@ func (sv *Supervisor) nextStart(lastResume int, inc *Incident) (*core.Snapshot, 
 // newIncident classifies an attempt failure. Typed health errors carry
 // their own sweep index and kind; anything else reports as "error"
 // with the sampler's completed-sweep count.
-func (sv *Supervisor) newIncident(attempt, sweeps int, err error) Incident {
+func newIncident(attempt, sweeps int, err error) Incident {
 	inc := Incident{
 		Attempt:     attempt,
 		Sweep:       sweeps,
 		Kind:        "error",
 		Detail:      err.Error(),
 		ResumedFrom: -1,
-		At:          sv.now(),
+		At:          time.Now(),
 	}
 	var he *core.HealthError
 	if errors.As(err, &he) {
@@ -305,7 +291,7 @@ func (sv *Supervisor) watch(ctx context.Context, s *core.Sampler, hb *heartbeat,
 				s.Abort(ctx.Err())
 				return
 			case <-tick:
-				if sv.now().Sub(hb.last()) > timeout {
+				if time.Since(hb.last()) > timeout {
 					s.AbortUnhealthy(core.HealthSweepStall,
 						fmt.Sprintf("no sweep completed within %v", timeout))
 					return

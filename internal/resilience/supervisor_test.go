@@ -66,7 +66,7 @@ func (m *memStore) Writer() (func(*core.Snapshot) error, func() error) {
 	return write, func() error { return nil }
 }
 
-func (m *memStore) LoadHealthy() (*core.Snapshot, error) {
+func (m *memStore) Load() (*core.Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.snap == nil {

@@ -249,27 +249,21 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // generation. The caller holds installMu. The fold-in kernel is built
 // (and the model's shape checked) first, so a degenerate model fails
 // the install rather than the first request, and no request pays the
-// per-model precomputation. Fold-in telemetry is wired before the
-// state is published so every annotation is recorded; concurrent
-// fold-ins invoke the hook concurrently and the metrics are atomic.
-// An unfitted output has no model; annotate.New rejects it.
+// per-model precomputation. The generation's annotator reports its
+// fold-ins to this server's metrics, which are atomic; install sets
+// nothing on out, so any number of servers may serve one Output. An
+// unfitted output has no model; annotate.New rejects it.
 func (s *Server) install(out *pipeline.Output) error {
 	if out.Model != nil {
 		if _, err := out.Model.BuildKernel(); err != nil {
 			return fmt.Errorf("serve: fold-in kernel: %w", err)
-		}
-		out.Model.FoldInHook = func(st core.FoldInStats) {
-			s.mFoldinSeconds.Observe(st.Total.Seconds())
-			s.mFoldinSweeps.Add(int64(st.Sweeps))
-			if st.Canceled {
-				s.mFoldinCanceled.Inc()
-			}
 		}
 	}
 	ann, err := annotate.New(out)
 	if err != nil {
 		return err
 	}
+	ann.OnFoldIn = s.observeFoldIn
 	ann.Seed = s.opts.Seed
 	if s.opts.FoldInIters > 0 {
 		ann.FoldInIters = s.opts.FoldInIters
@@ -282,6 +276,15 @@ func (s *Server) install(out *pipeline.Output) error {
 		s.logf("serve: model swapped in, generation %d (K=%d, %d docs)", gen, out.Model.K, out.Recipes())
 	}
 	return nil
+}
+
+// observeFoldIn records one fold-in chain into the server's metrics.
+func (s *Server) observeFoldIn(st annotate.FoldInStats) {
+	s.mFoldinSeconds.Observe(st.Total.Seconds())
+	s.mFoldinSweeps.Add(int64(st.Sweeps))
+	if st.Canceled {
+		s.mFoldinCanceled.Inc()
+	}
 }
 
 // generation is the generation serving now; 0 before the first
@@ -319,11 +322,6 @@ func (s *Server) SetOutput(out *pipeline.Output) error {
 // store publishes it: requests that load the state after the store
 // fold in on the new model, while in-flight requests finish on the
 // state they loaded. No request is dropped or errored by a swap.
-//
-// Pass a freshly constructed Output (a new fit, or a LoadModel or
-// LoadBundle result):
-// installing telemetry mutates out.Model, so re-swapping the object
-// that is currently serving would race with live fold-ins.
 func (s *Server) SwapOutput(out *pipeline.Output) error {
 	s.installMu.Lock()
 	defer s.installMu.Unlock()

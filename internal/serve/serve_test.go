@@ -499,6 +499,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestFoldInMetricsPerServer: two servers on one Output each count
+// only their own fold-ins; building the second must not redirect the
+// first one's telemetry.
+func TestFoldInMetricsPerServer(t *testing.T) {
+	first := newTestServer(t, quietOptions())
+	second := newTestServer(t, quietOptions())
+	if rec := postAnnotate(first.Handler(), jellyJSON); rec.Code != http.StatusOK {
+		t.Fatalf("annotate status %d: %s", rec.Code, rec.Body.String())
+	}
+	if n, m := foldInCount(first), foldInCount(second); n != 1 || m != 0 {
+		t.Fatalf("annotate_foldin_seconds count: first server %d, second %d; want 1 and 0", n, m)
+	}
+}
+
 // TestMetricsSharedRegistry: a caller-supplied registry is the one the
 // server records into, so pipeline and sampler series share the page.
 func TestMetricsSharedRegistry(t *testing.T) {
